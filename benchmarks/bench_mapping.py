@@ -37,8 +37,7 @@ silently give back the PR-7 solver or PR-8 re-anchor wins.
 ``--trace PATH`` additionally records the full-mapper run through the
 telemetry layer (frame -> pair -> stage spans, loop closure, pose-graph
 solves) and writes a Chrome trace (or JSONL run record for ``.jsonl``
-paths) with the StageProfiler totals embedded for
-``tools/check_trace.py`` to cross-check.
+paths) for ``tools/check_trace.py`` to validate.
 """
 
 from __future__ import annotations
@@ -57,7 +56,6 @@ from repro.mapping import (
     urban_loop_mapper_config,
     urban_loop_pipeline,
 )
-from repro.profiling import StageProfiler
 from repro.registration import run_streaming_odometry
 from repro.telemetry import Tracer
 
@@ -84,19 +82,6 @@ def run_mapper(sequence, enable_loop_closure: bool, tracer=None):
     for frame in sequence.frames:
         mapper.push(frame)
     return mapper, time.perf_counter() - start
-
-
-def mapper_stage_totals(mapper) -> dict:
-    """Stage name -> seconds across the mapper's two profilers.
-
-    The odometry engine times the per-pair pipeline stages and the
-    loop closer times verification registrations; the trace's stage
-    spans cover both, so the embedded cross-check view must too.
-    """
-    combined = StageProfiler()
-    combined.merge(mapper.odometry.profiler)
-    combined.merge(mapper.loop_profiler)
-    return combined.stage_totals()
 
 
 def bench(frames: int, tracer=None) -> dict:
@@ -178,7 +163,7 @@ def bench(frames: int, tracer=None) -> dict:
         f"({mapper_seconds:.1f}s), ratio {ratio:.2f}x, "
         f"{stats.n_loop_closures} closures over {stats.n_keyframes} keyframes"
     )
-    return result, mapper_stage_totals(mapper)
+    return result
 
 
 def check_floors(result: dict, stored_path: str) -> list[str]:
@@ -230,13 +215,12 @@ def main() -> int:
     args = parser.parse_args()
 
     tracer = Tracer() if args.trace else None
-    result, stage_totals = bench(args.frames, tracer=tracer)
+    result = bench(args.frames, tracer=tracer)
     met = result["acceptance"]["met"]
     if args.trace:
         write_trace_file(
             tracer,
             args.trace,
-            profiler_totals=stage_totals,
             meta={"bench": "mapping", "frames": args.frames},
         )
     if args.check_floors:

@@ -88,7 +88,6 @@ from repro.registration import (
     build_searcher,
 )
 from repro.registration.odometry import run_streaming_odometry
-from repro.profiling import StageProfiler
 from repro.telemetry import Tracer
 
 ACCEPT_CANONICAL_SPEEDUP = 3.0
@@ -490,17 +489,13 @@ def trace_frontend(cloud, path: str) -> None:
     """Record one traced front-end preprocess and export it.
 
     A separate, untimed pass — the timed legs above always run
-    untraced so the recorded numbers carry no tracing cost.  The
-    StageProfiler totals ride along so ``tools/check_trace.py`` can
-    cross-check the span tree against the stage table.
+    untraced so the recorded numbers carry no tracing cost.
     """
     tracer = Tracer()
-    profiler = StageProfiler(tracer=tracer)
-    frontend_pipeline("twostage").preprocess(cloud, profiler=profiler)
+    frontend_pipeline("twostage").preprocess(cloud, tracer=tracer)
     write_trace_file(
         tracer,
         path,
-        profiler_totals=profiler.stage_totals(),
         meta={"bench": "search_frontend", "cloud_points": len(cloud)},
     )
 

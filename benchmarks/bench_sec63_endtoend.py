@@ -15,7 +15,6 @@ import pytest
 
 from benchmarks.conftest import write_report
 from repro.accel import CPUModel, EndToEndModel, GPUModel, TigrisSimulator
-from repro.profiling import StageProfiler
 from repro.registration import Pipeline, dp7_accuracy
 
 
@@ -23,9 +22,8 @@ from repro.registration import Pipeline, dp7_accuracy
 def endtoend_data(medium_sequence, dp7_workloads):
     # 1. Measure the KD-tree search fraction on a real DP7 run (Fig. 4b).
     source, target, _ = medium_sequence.pair(0)
-    profiler = StageProfiler()
-    Pipeline(dp7_accuracy()).register(source, target, profiler=profiler)
-    kdtree_fraction = profiler.kdtree_fractions()["search"]
+    timing = Pipeline(dp7_accuracy()).register(source, target).profiler
+    kdtree_fraction = timing.kdtree_fractions()["search"]
 
     # 2. Measure the search speedup of the accelerator over the GPU and
     # CPU baselines (Fig. 11).
@@ -37,7 +35,7 @@ def endtoend_data(medium_sequence, dp7_workloads):
     search_speedup_vs_cpu = cpu_search / accel.time_seconds
     return (
         kdtree_fraction,
-        profiler.total,
+        timing.total,
         accel,
         search_speedup_vs_gpu,
         search_speedup_vs_cpu,

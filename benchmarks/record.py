@@ -50,16 +50,9 @@ def add_trace_argument(parser) -> None:
     )
 
 
-def write_trace_file(
-    tracer, path: str, profiler_totals: dict | None = None, meta: dict | None = None
-) -> None:
-    """Export a tracer through the extension-dispatching trace writer.
-
-    ``profiler_totals`` (stage name -> seconds) embeds the
-    StageProfiler view in Chrome traces so ``tools/check_trace.py``
-    can cross-check the span tree against the legacy table.
-    """
+def write_trace_file(tracer, path: str, meta: dict | None = None) -> None:
+    """Export a tracer through the extension-dispatching trace writer."""
     from repro.telemetry import write_trace
 
-    write_trace(tracer, path, profiler_totals=profiler_totals, meta=meta)
+    write_trace(tracer, path, meta=meta)
     print(f"wrote trace {path}")

@@ -71,7 +71,7 @@ def main():
         print(report.scene_summary())
 
     # Stage breakdowns come from per-scene points (aggregates carry no
-    # profiler); use the first scene as the Fig. 4 exhibit.
+    # stage table); use the first scene as the Fig. 4 exhibit.
     exhibit_scene = report.scenes[0]
     exhibit = {r.name: r for r in report.scene_results[exhibit_scene]}
     print(f"\nFig. 4a — per-stage time distribution ({exhibit_scene}):")

@@ -42,7 +42,6 @@ from repro.mapping import (
     urban_loop_mapper_config,
     urban_loop_pipeline,
 )
-from repro.profiling import StageProfiler
 from repro.telemetry import Tracer, write_trace
 
 
@@ -117,12 +116,7 @@ def main():
     write_pcd(args.out, global_map)
     print(f"wrote {args.out}")
     if args.trace:
-        combined = StageProfiler()
-        combined.merge(mapper.odometry.profiler)
-        combined.merge(mapper.loop_profiler)
-        write_trace(
-            tracer, args.trace, profiler_totals=combined.stage_totals()
-        )
+        write_trace(tracer, args.trace)
         print(f"wrote trace {args.trace}")
     return 0
 

@@ -8,7 +8,7 @@ end-to-end use of the public API.
 Run:  python examples/quickstart.py [--profile] [--search-backend gridhash]
                                     [--trace out.json]
 
-``--profile`` prints the extended per-stage Profiler breakdown (total /
+``--profile`` prints the extended per-stage timing breakdown (total /
 KD-tree search / KD-tree build / aggregation / share), so you can see
 where registration time goes without running the figure benches.
 ``--search-backend`` swaps the neighbor-search backend (see README
@@ -26,7 +26,6 @@ import argparse
 from repro.core.gridhash import GridHashConfig
 from repro.geometry import metrics
 from repro.io import make_sequence
-from repro.profiling import StageProfiler
 from repro.registration import (
     ICPConfig,
     KeypointConfig,
@@ -70,17 +69,16 @@ def main(
     pipeline = Pipeline(config)
     print(f"search backend: {search_backend}")
 
-    # 3. Register, with per-stage profiling (paper Fig. 4's view).
-    # ``pipeline.register(source, target)`` does exactly this; spelling
-    # out the two phases shows the streaming API: ``preprocess`` runs the
-    # per-frame stages once into an immutable FrameState, and ``match``
+    # 3. Register, with per-stage timing (paper Fig. 4's view).
+    # ``register`` runs two phases: ``preprocess`` runs the per-frame
+    # stages once per frame into an immutable FrameState, and ``match``
     # runs the pairwise stages.  Sequence drivers reuse a FrameState
-    # across consecutive pairs (see examples/odometry.py).
+    # across consecutive pairs (see examples/odometry.py).  The tracer
+    # records every stage as a span; ``result.profiler`` is the stage
+    # table rolled up from them.
     tracer = Tracer() if trace else None
-    profiler = StageProfiler(tracer=tracer)
-    source_state = pipeline.preprocess(source, profiler=profiler)
-    target_state = pipeline.preprocess(target, profiler=profiler)
-    result = pipeline.match(source_state, target_state, profiler=profiler)
+    result = pipeline.register(source, target, tracer=tracer)
+    timing = result.profiler
 
     print(f"\nestimated translation:    {result.transformation[:3, 3].round(3)}")
     rot_err, trans_err = metrics.pair_errors(result.transformation, ground_truth)
@@ -90,12 +88,12 @@ def main(
 
     print("\nper-stage timing (KD-tree search dominates — paper Fig. 4):")
     print(
-        profiler.report(
+        timing.report(
             extended=profile,
             search_stats=result.total_search_stats if profile else None,
         )
     )
-    fractions = profiler.kdtree_fractions()
+    fractions = timing.kdtree_fractions()
     print(
         f"\nKD-tree search share of runtime: {100 * fractions['search']:.1f}% "
         f"(construction {100 * fractions['construction']:.1f}%)"
@@ -104,7 +102,7 @@ def main(
     print()
     print(result.summary())
     if trace:
-        write_trace(tracer, trace, profiler_totals=profiler.stage_totals())
+        write_trace(tracer, trace)
         print(f"wrote trace {trace}")
     return 0
 

@@ -44,14 +44,13 @@ from repro.dse.pareto import (
 )
 from repro.geometry import metrics
 from repro.io.dataset import SceneSuite, SyntheticSequence
-from repro.profiling.timer import StageProfiler
 from repro.registration.pipeline import (
     _FEATURE_STAGES,
     _FRAME_STAGES,
     Pipeline,
     PipelineConfig,
 )
-from repro.telemetry import NULL_TRACER, Tracer
+from repro.telemetry import NULL_TRACER, StageTiming, Tracer, record_stages
 
 __all__ = [
     "evaluate_config",
@@ -62,11 +61,11 @@ __all__ = [
 
 
 class FrameStateCache:
-    """Keyed cache of preprocessed frames + their preprocess profilers.
+    """Keyed cache of preprocessed frames + their preprocess stage tables.
 
     Keys are ``(fingerprint, scene, frame_index)``; values pair the
     immutable :class:`~repro.registration.pipeline.FrameState` with the
-    :class:`~repro.profiling.StageProfiler` that timed its single real
+    :class:`~repro.telemetry.StageTiming` of its single real
     preprocess, so every consumer attributes the same measured cost.
     ``hits``/``misses`` make reuse observable to tests and benches.
     """
@@ -80,7 +79,7 @@ class FrameStateCache:
         return len(self._entries)
 
     def get(self, key: tuple, build):
-        """The cached ``(state, profiler)`` for ``key``, building on miss."""
+        """The cached ``(state, timing)`` for ``key``, building on miss."""
         if key in self._entries:
             self.hits += 1
         else:
@@ -98,7 +97,7 @@ class ExplorationReport:
     ``scene_results`` and cross-scene mean aggregates in ``results``;
     per-scene frontiers live in ``scene_frontiers`` (keyed by scene,
     then ``"translational"``/``"rotational"``).  Frontier membership is
-    always by object identity — ``detail`` carries profilers and
+    always by object identity — ``detail`` carries stage tables and
     ndarrays, so dataclass equality is not meaningful.
     """
 
@@ -216,25 +215,24 @@ def evaluate_config(
 
     Time is the mean wall-clock registration time per pair; errors are
     the KITTI sequence errors of the chained estimated trajectory
-    against ground truth.  Per-pair stage profiles are merged and
+    against ground truth.  Per-pair stage tables are merged and
     attached in ``detail`` for the Fig. 4 analyses, alongside the
     per-pair transforms and search stats the parity suite pins.
     """
     pipeline = Pipeline(config)
     pairs = _select_pairs(sequence, max_pairs)
 
-    merged_profiler = StageProfiler()
+    merged = StageTiming()
     relative_estimates: list[np.ndarray] = []
     times: list[float] = []
     pair_stats: list[dict] = []
     icp_iterations: list[int] = []
 
     for source, target, _ in pairs:
-        profiler = StageProfiler()
-        result = pipeline.register(source, target, profiler=profiler)
+        result = pipeline.register(source, target)
         relative_estimates.append(result.transformation)
-        times.append(profiler.total)
-        merged_profiler.merge(profiler)
+        times.append(result.profiler.total)
+        merged.merge(result.profiler)
         pair_stats.append(result.stage_stats)
         icp_iterations.append(result.icp.iterations)
 
@@ -244,7 +242,7 @@ def evaluate_config(
         len(pairs),
         times,
         relative_estimates,
-        merged_profiler,
+        merged,
         pair_stats,
         icp_iterations,
         scene,
@@ -266,7 +264,7 @@ def _design_point(
     n_pairs: int,
     times: list[float],
     relatives: list[np.ndarray],
-    profiler: StageProfiler,
+    timing: StageTiming,
     pair_stats: list[dict],
     icp_iterations: list[int],
     scene: str | None,
@@ -281,9 +279,9 @@ def _design_point(
         translational_error=errors.translational,
         rotational_error=errors.rotational,
         detail={
-            "profiler": profiler,
-            "stage_fractions": profiler.stage_fractions(),
-            "kdtree_fractions": profiler.kdtree_fractions(),
+            "profiler": timing,
+            "stage_fractions": timing.stage_fractions(),
+            "kdtree_fractions": timing.kdtree_fractions(),
             "errors": errors,
             "relatives": relatives,
             "pair_stats": pair_stats,
@@ -324,13 +322,13 @@ def _evaluate_group(
 
     def preprocess(index: int):
         def build():
-            profiler = StageProfiler(tracer=tracer)
-            state = representative.preprocess(
-                sequence.frames[index],
-                profiler=profiler,
-                with_features=with_features,
-            )
-            return state, profiler
+            with record_stages(tracer) as (step, timing):
+                state = representative.preprocess(
+                    sequence.frames[index],
+                    tracer=step,
+                    with_features=with_features,
+                )
+            return state, timing
 
         return cache.get((fingerprint, scene, index), build)
 
@@ -342,7 +340,7 @@ def _evaluate_group(
         consumed = _FRAME_STAGES + (
             _FEATURE_STAGES if pipeline.runs_initial() else ()
         )
-        merged_profiler = StageProfiler()
+        merged = StageTiming()
         relatives: list[np.ndarray] = []
         times: list[float] = []
         pair_stats: list[dict] = []
@@ -350,12 +348,11 @@ def _evaluate_group(
 
         with trace.span("config", config=name, n_pairs=len(pairs)):
             for index in range(len(pairs)):
-                source_state, source_profiler = frames[index + 1]
-                target_state, target_profiler = frames[index]
-                pair_profiler = StageProfiler(tracer=tracer)
+                source_state, source_timing = frames[index + 1]
+                target_state, target_timing = frames[index]
                 with trace.span("pair", index=index):
                     result = pipeline.match(
-                        source_state, target_state, profiler=pair_profiler
+                        source_state, target_state, tracer=tracer
                     )
                 # Attribute the (shared, once-measured) preprocess cost
                 # of the stages this config consumed to this pair,
@@ -363,10 +360,11 @@ def _evaluate_group(
                 # spent.  A config that skips initial estimation never
                 # consumed the feature stages, so they stay out of its
                 # profile and time.
-                pair_profiler.merge(source_profiler, stages=consumed)
-                pair_profiler.merge(target_profiler, stages=consumed)
-                times.append(pair_profiler.total)
-                merged_profiler.merge(pair_profiler)
+                pair_timing = result.profiler
+                pair_timing.merge(source_timing, stages=consumed)
+                pair_timing.merge(target_timing, stages=consumed)
+                times.append(pair_timing.total)
+                merged.merge(pair_timing)
                 relatives.append(result.transformation)
                 pair_stats.append(result.stage_stats)
                 icp_iterations.append(result.icp.iterations)
@@ -378,7 +376,7 @@ def _evaluate_group(
                 len(pairs),
                 times,
                 relatives,
-                merged_profiler,
+                merged,
                 pair_stats,
                 icp_iterations,
                 scene,

@@ -118,11 +118,14 @@ class PointCloud:
 
         The representative is the point closest to the voxel centroid, so
         the output is a subset of the input (attribute channels survive).
+        Non-finite points have no voxel and are rejected.
         """
         if voxel_size <= 0:
             raise ValueError("voxel_size must be positive")
         if len(self) == 0:
             return self.copy()
+        if not np.isfinite(self._points).all():
+            raise ValueError("points contain NaN or infinity")
         keys = np.floor(self._points / voxel_size).astype(np.int64)
         # Group points by voxel via lexicographic sort of integer keys,
         # then pick every group's representative with segment kernels:

@@ -27,7 +27,6 @@ import numpy as np
 
 from repro.geometry import se3
 from repro.mapping.keyframes import Keyframe
-from repro.profiling.timer import StageProfiler
 from repro.registration.pipeline import Pipeline, RegistrationResult
 
 __all__ = ["LoopClosureConfig", "LoopClosure", "LoopCloser"]
@@ -151,7 +150,7 @@ class LoopCloser:
         source: Keyframe,
         target: Keyframe,
         estimated_relative: np.ndarray,
-        profiler: StageProfiler | None = None,
+        tracer=None,
     ) -> LoopClosure | None:
         """Register ``source`` (newer) against ``target`` (older).
 
@@ -166,14 +165,14 @@ class LoopCloser:
             for keyframe in (source, target):
                 if not keyframe.state.has_features:
                     keyframe.state = self.pipeline.ensure_features(
-                        keyframe.state, profiler=profiler
+                        keyframe.state, tracer=tracer
                     )
                     self.n_feature_extensions += 1
         result = self._matcher().match(
             source.state,
             target.state,
             initial=np.array(estimated_relative, dtype=np.float64) if seed else None,
-            profiler=profiler,
+            tracer=tracer,
         )
 
         if not (result.success and result.icp.converged):

@@ -33,7 +33,6 @@ from repro.mapping.keyframes import Keyframe, KeyframeConfig, KeyframePolicy
 from repro.mapping.loop_closure import LoopCloser, LoopClosure, LoopClosureConfig
 from repro.mapping.pose_graph import PoseGraph, PoseGraphConfig
 from repro.mapping.voxel_map import VoxelMap, VoxelMapConfig
-from repro.profiling.timer import StageProfiler
 from repro.registration.health import HealthConfig, assess_registration
 from repro.registration.odometry import RecoveryConfig, StreamingOdometry
 from repro.registration.pipeline import Pipeline, RegistrationResult
@@ -139,7 +138,7 @@ class StreamingMapper:
         self.pipeline = pipeline
         self.config = config or MapperConfig()
         # Optional repro.telemetry.Tracer.  Threads through the odometry
-        # engine (per-pair spans) and the loop-closure profiler (stage
+        # engine (per-pair spans) and loop-closure verification (stage
         # spans under verify), and adds the mapper's own structural
         # spans: frame -> keyframe -> loop_closure/verify ->
         # pose_graph.optimize/re_anchor.
@@ -157,7 +156,6 @@ class StreamingMapper:
         self.keyframes: list[Keyframe] = []
         self.loop_closures: list[LoopClosure] = []
         self.stats = MappingStats()
-        self.loop_profiler = StageProfiler(tracer=tracer)
         # Open-loop chained odometry poses, one per frame; element k is
         # built exactly like metrics.trajectory_from_relative does, so
         # the unoptimized trajectory stays bit-identical to the
@@ -292,7 +290,7 @@ class StreamingMapper:
                         keyframe,
                         target,
                         estimated_relative,
-                        profiler=self.loop_profiler,
+                        tracer=tracer,
                     )
                     tracer.annotate(accepted=closure is not None)
                 if closure is None:

@@ -1,11 +1,12 @@
-"""Profiling utilities for the bottleneck analysis (paper Fig. 4)."""
+"""Plotting for the bottleneck analysis (paper Fig. 4).
+
+The stage table itself is a view of the trace:
+:class:`repro.telemetry.StageTiming`.
+"""
 
 from repro.profiling.plot import bar_chart, line_plot, scatter_plot
-from repro.profiling.timer import StageProfiler, StageTiming
 
 __all__ = [
-    "StageProfiler",
-    "StageTiming",
     "scatter_plot",
     "line_plot",
     "bar_chart",

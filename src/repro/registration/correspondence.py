@@ -97,7 +97,7 @@ def estimate_feature_correspondences(
     source_features: np.ndarray,
     target_features: np.ndarray,
     config: KPCEConfig | None = None,
-    profiler=None,
+    tracer=None,
     stats=None,
     injector=None,
 ) -> Correspondences:
@@ -115,7 +115,7 @@ def estimate_feature_correspondences(
 
     search_config = SearchConfig(backend=config.backend)
     target_index = build_searcher(
-        target_features, search_config, profiler, stats, injector
+        target_features, search_config, tracer, stats, injector
     )
     need_second = config.with_second and len(target_features) >= 2
 
@@ -137,7 +137,7 @@ def estimate_feature_correspondences(
     source_rows = np.arange(len(source_features), dtype=np.int64)
     if config.reciprocal:
         source_index = build_searcher(
-            source_features, search_config, profiler, stats, injector
+            source_features, search_config, tracer, stats, injector
         )
         back, _ = source_index.nn_batch(target_features[matches])
         keep = back == source_rows

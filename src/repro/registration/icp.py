@@ -22,7 +22,6 @@ import numpy as np
 
 from repro.geometry import se3
 from repro.io.pointcloud import PointCloud
-from repro.profiling.timer import StageProfiler
 from repro.registration.correspondence import (
     RPCEConfig,
     estimate_point_correspondences,
@@ -39,6 +38,7 @@ from repro.registration.search import (
     SearchConfig,
     build_searcher,
 )
+from repro.telemetry import NULL_TRACER
 
 __all__ = ["ICPConfig", "ICPResult", "icp"]
 
@@ -151,7 +151,7 @@ def icp(
     target_searcher: NeighborSearcher,
     config: ICPConfig | None = None,
     initial: np.ndarray | None = None,
-    profiler: StageProfiler | None = None,
+    tracer=None,
     searcher_factory=None,
     range_image: RangeImage | None = None,
 ) -> ICPResult:
@@ -166,12 +166,12 @@ def icp(
     the target frame, so streaming callers build it once per frame and
     reuse it across pairs; when omitted it is built here.
 
-    Profiler stages: ``RPCE`` for correspondence search, ``Error
+    Tracer stages: ``RPCE`` for correspondence search, ``Error
     Minimization`` for the solver — the names of Fig. 4a.
     """
     config = config or ICPConfig()
     current = np.array(initial if initial is not None else np.eye(4), dtype=np.float64)
-    profiler = profiler or StageProfiler()
+    tracer = NULL_TRACER if tracer is None else tracer
 
     if config.error_metric == "point_to_plane" and not target.has_normals:
         raise ValueError("point_to_plane ICP requires target normals")
@@ -207,14 +207,14 @@ def icp(
         if source_normals is not None:
             moved_normals = source_normals @ se3.rotation_part(current).T
 
-        with profiler.stage("RPCE"):
+        with tracer.stage("RPCE"):
             source_searcher = None
             if config.rpce.reciprocal:
                 # Reciprocity needs the reverse search; the moved source
                 # changes every iteration, so its index is rebuilt here
                 # (charged to the RPCE stage, as on the real pipeline).
                 source_searcher = build_searcher(
-                    moved, SearchConfig(), profiler, SearchStats()
+                    moved, SearchConfig(), tracer, SearchStats()
                 )
             correspondences = estimate_point_correspondences(
                 moved,
@@ -231,7 +231,7 @@ def icp(
         matched_source = moved[correspondences.source_indices]
         matched_target = target_points[correspondences.target_indices]
 
-        with profiler.stage("Error Minimization"):
+        with tracer.stage("Error Minimization"):
             if config.error_metric == "point_to_plane":
                 normals = target_normals[correspondences.target_indices]
                 last_matched = (matched_source, matched_target, normals)

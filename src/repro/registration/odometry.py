@@ -32,7 +32,6 @@ from repro.geometry import metrics
 from repro.geometry.metrics import SequenceErrors
 from repro.io.dataset import SyntheticSequence
 from repro.io.pointcloud import PointCloud
-from repro.profiling.timer import StageProfiler
 from repro.registration.health import (
     HealthConfig,
     RegistrationHealth,
@@ -43,7 +42,7 @@ from repro.registration.pipeline import (
     Pipeline,
     RegistrationResult,
 )
-from repro.telemetry import tracer_of
+from repro.telemetry import NULL_TRACER, StageTiming, record_stages
 
 __all__ = [
     "OdometryResult",
@@ -148,14 +147,15 @@ class OdometryResult:
 
     ``trajectory`` holds absolute poses in the first frame's coordinate
     system (starting at identity).  ``errors`` is filled only when
-    ground-truth poses were available for scoring.
+    ground-truth poses were available for scoring.  ``profiler`` is
+    the stage table of the whole run.
     """
 
     relatives: list[np.ndarray]
     trajectory: list[np.ndarray]
     pair_results: list[RegistrationResult]
     pair_seconds: list[float]
-    profiler: StageProfiler
+    profiler: StageTiming
     errors: SequenceErrors | None = None
     per_pair_errors: list[tuple[float, float]] = field(default_factory=list)
     stats: OdometryStats = field(default_factory=OdometryStats)
@@ -209,7 +209,8 @@ def run_odometry(
         frames, ground_truth_poses, max_pairs
     )
 
-    profiler = StageProfiler()
+    trace = NULL_TRACER if tracer is None else tracer
+    timing = StageTiming()
     relatives: list[np.ndarray] = []
     pair_results: list[RegistrationResult] = []
     pair_seconds: list[float] = []
@@ -218,27 +219,24 @@ def run_odometry(
 
     for index in range(n_pairs):
         source, target = frames[index + 1], frames[index]
-        pair_profiler = StageProfiler(tracer=tracer)
-        pair_tracer = tracer_of(pair_profiler)
         initial = previous if (seed_with_previous and previous is not None) else None
         start = time.perf_counter()
-        with pair_tracer.span(
-            "pair", index=index, seeded=initial is not None
-        ):
-            result = pipeline.register(source, target, initial=initial,
-                                       profiler=pair_profiler)
+        with trace.span("pair", index=index, seeded=initial is not None):
+            result = pipeline.register(
+                source, target, initial=initial, tracer=tracer
+            )
             stats.n_pairs += 1
             if not result.icp.converged:
                 stats.n_nonconverged += 1
-                pair_tracer.count("odometry.nonconverged")
+                trace.count("odometry.nonconverged")
         pair_seconds.append(time.perf_counter() - start)
-        profiler.merge(pair_profiler)
+        timing.merge(result.profiler)
         relatives.append(result.transformation)
         pair_results.append(result)
         previous = result.transformation
 
     return _score_run(
-        relatives, pair_results, pair_seconds, profiler, ground_truth_poses,
+        relatives, pair_results, pair_seconds, timing, ground_truth_poses,
         stats=stats,
     )
 
@@ -265,7 +263,7 @@ def _score_run(
     relatives: list[np.ndarray],
     pair_results: list[RegistrationResult],
     pair_seconds: list[float],
-    profiler: StageProfiler,
+    timing: StageTiming,
     ground_truth_poses: list[np.ndarray] | None,
     stats: OdometryStats | None = None,
 ) -> OdometryResult:
@@ -298,7 +296,7 @@ def _score_run(
         trajectory=trajectory,
         pair_results=pair_results,
         pair_seconds=pair_seconds,
-        profiler=profiler,
+        profiler=timing,
         errors=errors,
         per_pair_errors=per_pair,
         stats=stats,
@@ -338,7 +336,8 @@ class StreamingOdometry:
         self.seed_with_previous = seed_with_previous
         # Optional repro.telemetry.Tracer: every push records a
         # "pair" (or "bootstrap") span with the pipeline spans nested
-        # inside.  None (the default) costs nothing.
+        # inside.  With None (the default) each push records into a
+        # short-lived tracer and keeps only its stage table.
         self.tracer = tracer
         # Optional failure-aware mode: assess every pair's health and
         # climb the RecoveryConfig ladder on unhealthy ones.  None (the
@@ -346,7 +345,8 @@ class StreamingOdometry:
         # bit-for-bit; non-converged pairs are counted either way.
         self.recovery = recovery
         self.stats = OdometryStats()
-        self.profiler = StageProfiler()
+        # The stage table of every push so far.
+        self.profiler = StageTiming()
         self.relatives: list[np.ndarray] = []
         self.pair_results: list[RegistrationResult] = []
         self.pair_seconds: list[float] = []
@@ -377,10 +377,9 @@ class StreamingOdometry:
 
         Returns the pair's :class:`RegistrationResult`, or ``None`` for
         the very first frame (which is only preprocessed and cached).
+        The result's ``profiler`` table is this push's ``pair`` span.
         """
         start = time.perf_counter()
-        step_profiler = StageProfiler(tracer=self.tracer)
-        tracer = tracer_of(step_profiler)
         self._n_frames += 1
 
         initial = (
@@ -393,19 +392,23 @@ class StreamingOdometry:
         if self._target_state is None:
             # First frame: preprocess and wait for a partner.  Features
             # are computed only if pair 0 will run initial estimation.
-            with tracer.span("bootstrap", frame=self._n_frames - 1):
+            with (
+                record_stages(self.tracer) as (tracer, timing),
+                tracer.span("bootstrap", frame=self._n_frames - 1),
+            ):
                 self._target_state = self.pipeline.preprocess(
-                    frame, profiler=step_profiler, with_features=run_initial
+                    frame, tracer=tracer, with_features=run_initial
                 )
-            self.profiler.merge(step_profiler)
+            self.profiler.merge(timing)
             self._pending_seconds = time.perf_counter() - start
             return None
 
-        with tracer.span(
-            "pair", index=self.n_pairs, seeded=initial is not None
+        with (
+            record_stages(self.tracer) as (tracer, timing),
+            tracer.span("pair", index=self.n_pairs, seeded=initial is not None),
         ):
             source_state = self.pipeline.preprocess(
-                frame, profiler=step_profiler, with_features=run_initial
+                frame, tracer=tracer, with_features=run_initial
             )
             # When this pair runs initial estimation, the cached target
             # was preprocessed with features too (its own pair was
@@ -416,7 +419,7 @@ class StreamingOdometry:
                 source_state,
                 self._target_state,
                 initial=initial,
-                profiler=step_profiler,
+                tracer=tracer,
             )
 
             health: RegistrationHealth | None = None
@@ -427,8 +430,7 @@ class StreamingOdometry:
                 )
                 if not health.healthy:
                     result, health, actions = self._recover(
-                        source_state, initial, result, health,
-                        step_profiler, tracer,
+                        source_state, initial, result, health, tracer
                     )
 
             self.stats.n_pairs += 1
@@ -450,11 +452,13 @@ class StreamingOdometry:
                     ),
                 )
 
+        result.profiler = timing
+
         self.pair_seconds.append(
             time.perf_counter() - start + self._pending_seconds
         )
         self._pending_seconds = 0.0
-        self.profiler.merge(step_profiler)
+        self.profiler.merge(timing)
         self.relatives.append(result.transformation)
         self.pair_results.append(result)
         self._previous = result.transformation
@@ -503,7 +507,6 @@ class StreamingOdometry:
         initial: np.ndarray | None,
         result: RegistrationResult,
         health: RegistrationHealth,
-        profiler: StageProfiler,
         tracer,
     ) -> tuple[RegistrationResult, RegistrationHealth, tuple[str, ...]]:
         """Climb the recovery ladder for one unhealthy pair.
@@ -551,7 +554,7 @@ class StreamingOdometry:
             with tracer.span("recovery", rung="reseed"):
                 candidate = self.pipeline.match(
                     source_state, self._target_state,
-                    initial=prior, profiler=profiler,
+                    initial=prior, tracer=tracer,
                 )
             candidate_health = assess_registration(
                 candidate, retry_config, prior=prior
@@ -569,7 +572,7 @@ class StreamingOdometry:
                 candidate = self._widened_pipeline().match(
                     source_state, self._target_state,
                     initial=prior if prior is not None else initial,
-                    profiler=profiler,
+                    tracer=tracer,
                 )
             candidate_health = assess_registration(
                 candidate, retry_config, prior=prior
@@ -601,13 +604,13 @@ class StreamingOdometry:
         """
         if self.n_pairs == 0:
             raise ValueError("need at least two frames")
-        profiler = StageProfiler()
-        profiler.merge(self.profiler)
+        timing = StageTiming()
+        timing.merge(self.profiler)
         return _score_run(
             list(self.relatives),
             list(self.pair_results),
             list(self.pair_seconds),
-            profiler,
+            timing,
             ground_truth_poses,
             stats=self.stats.snapshot(),
         )

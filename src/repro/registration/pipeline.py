@@ -39,7 +39,6 @@ import numpy as np
 from repro.core.approx import ApproximateSearch
 from repro.io.pointcloud import PointCloud
 from repro.kdtree.stats import SearchStats
-from repro.profiling.timer import StageProfiler
 from repro.registration.correspondence import (
     KPCEConfig,
     estimate_feature_correspondences,
@@ -57,7 +56,7 @@ from repro.registration.search import (
     build_index,
     exact_index,
 )
-from repro.telemetry import tracer_of
+from repro.telemetry import NULL_TRACER, StageTiming, record_stages
 
 __all__ = [
     "PipelineConfig",
@@ -170,13 +169,14 @@ class RegistrationResult:
     """Everything a ``register`` call produced.
 
     ``transformation`` maps source-frame coordinates into the target
-    frame (the matrix M of paper Eq. 1).
+    frame (the matrix M of paper Eq. 1).  ``profiler`` is the stage
+    table of the call that produced the result.
     """
 
     transformation: np.ndarray
     initial_transformation: np.ndarray
     icp: ICPResult
-    profiler: StageProfiler
+    profiler: StageTiming
     stage_stats: dict[str, SearchStats]
     n_source_keypoints: int = 0
     n_target_keypoints: int = 0
@@ -303,7 +303,7 @@ class FrameState:
         stats: SearchStats,
         exact: bool = False,
         fresh_approx: bool = False,
-        profiler: StageProfiler | None = None,
+        tracer=None,
         injector=None,
     ) -> NeighborSearcher:
         """A per-stage query view over this frame's search structure.
@@ -323,7 +323,7 @@ class FrameState:
         # injector in the way; NeighborSearcher re-checks the identity.
         reuse = None if injector is not None else self.reuse
         return NeighborSearcher(
-            index, stats, 0.0, profiler=profiler, injector=injector, reuse=reuse
+            index, stats, 0.0, tracer=tracer, injector=injector, reuse=reuse
         )
 
 
@@ -348,7 +348,7 @@ class Pipeline:
     def preprocess(
         self,
         cloud: PointCloud,
-        profiler: StageProfiler | None = None,
+        tracer=None,
         with_features: bool | None = None,
     ) -> FrameState:
         """Run every single-frame stage over ``cloud``.
@@ -357,10 +357,10 @@ class Pipeline:
         artifacts (keypoints, descriptors) are computed; it defaults to
         ``not config.skip_initial_estimation``.  A state built without
         features can be extended later via :meth:`ensure_features`.
+        ``tracer`` records the stage spans; without one none are kept.
         """
         config = self.config
-        profiler = profiler or StageProfiler()
-        tracer = tracer_of(profiler)
+        tracer = NULL_TRACER if tracer is None else tracer
         if with_features is None:
             with_features = self.runs_initial()
         stats = {name: SearchStats() for name in _FRAME_STAGES + _FEATURE_STAGES}
@@ -375,8 +375,8 @@ class Pipeline:
             # Stage 1: search structure + Normal Estimation (dense;
             # approximate-eligible).  One tree per frame, shared by every
             # stage view derived from this state.
-            with profiler.stage("Normal Estimation"):
-                index, _ = build_index(cloud.points, config.search, profiler)
+            with tracer.stage("Normal Estimation"):
+                index, _ = build_index(cloud.points, config.search, tracer)
                 planned = _planned_reuse_radius(config)
                 reuse = (
                     RadiusReuseCache(exact_index(index), planned)
@@ -395,7 +395,7 @@ class Pipeline:
                     state.searcher(
                         stats["Normal Estimation"],
                         fresh_approx=True,
-                        profiler=profiler,
+                        tracer=tracer,
                         injector=config.injectors.get("Normal Estimation"),
                     ),
                     config.normals,
@@ -404,13 +404,13 @@ class Pipeline:
                 tracer.count_stats(stats["Normal Estimation"])
 
             if with_features:
-                state = self.ensure_features(state, profiler=profiler)
+                state = self.ensure_features(state, tracer=tracer)
         return state
 
     def ensure_features(
         self,
         state: FrameState,
-        profiler: StageProfiler | None = None,
+        tracer=None,
     ) -> FrameState:
         """Return a state that has keypoints and descriptors.
 
@@ -422,19 +422,18 @@ class Pipeline:
         if state.has_features:
             return state
         config = self.config
-        profiler = profiler or StageProfiler()
-        tracer = tracer_of(profiler)
+        tracer = NULL_TRACER if tracer is None else tracer
         stats = {name: copy.copy(s) for name, s in state.stats.items()}
         working = replace(state, stats=stats)
 
         # Stage 2: Key-point Detection (exact search).
-        with profiler.stage("Key-point Detection"):
+        with tracer.stage("Key-point Detection"):
             keypoints = detect_keypoints(
                 working.cloud,
                 working.searcher(
                     stats["Key-point Detection"],
                     exact=True,
-                    profiler=profiler,
+                    tracer=tracer,
                     injector=config.injectors.get("Key-point Detection"),
                 ),
                 config.keypoints,
@@ -443,13 +442,13 @@ class Pipeline:
             tracer.annotate(n_keypoints=len(keypoints))
 
         # Stage 3: Descriptor Calculation (exact search).
-        with profiler.stage("Descriptor Calculation"):
+        with tracer.stage("Descriptor Calculation"):
             descriptors = compute_descriptors(
                 working.cloud,
                 working.searcher(
                     stats["Descriptor Calculation"],
                     exact=True,
-                    profiler=profiler,
+                    tracer=tracer,
                     injector=config.injectors.get("Descriptor Calculation"),
                 ),
                 keypoints,
@@ -474,7 +473,7 @@ class Pipeline:
         source_state: FrameState,
         target_state: FrameState,
         initial: np.ndarray | None = None,
-        profiler: StageProfiler | None = None,
+        tracer=None,
     ) -> RegistrationResult:
         """Run the pairwise stages over two preprocessed frames.
 
@@ -482,20 +481,19 @@ class Pipeline:
         work (for the stages this pair actually consumed), so counters
         are identical to a monolithic ``register`` call on the raw
         frames — streaming reuse changes *when* work happens, never what
-        a pair reports.
+        a pair reports.  Its ``profiler`` table covers this call's
+        ``match`` span only.
         """
-        profiler = profiler or StageProfiler()
-        tracer = tracer_of(profiler)
-        with tracer.span("match"):
-            return self._match(source_state, target_state, initial, profiler, tracer)
+        with record_stages(tracer) as (tracer, timing), tracer.span("match"):
+            return self._match(source_state, target_state, initial, tracer, timing)
 
     def _match(
         self,
         source_state: FrameState,
         target_state: FrameState,
         initial: np.ndarray | None,
-        profiler: StageProfiler,
         tracer,
+        timing: StageTiming,
     ) -> RegistrationResult:
         config = self.config
 
@@ -505,8 +503,8 @@ class Pipeline:
             initial_transform = np.array(initial, dtype=np.float64)
 
         if run_initial:
-            source_state = self.ensure_features(source_state, profiler=profiler)
-            target_state = self.ensure_features(target_state, profiler=profiler)
+            source_state = self.ensure_features(source_state, tracer=tracer)
+            target_state = self.ensure_features(target_state, tracer=tracer)
 
         stage_stats = {name: SearchStats() for name in STAGE_NAMES}
         consumed = _FRAME_STAGES + (_FEATURE_STAGES if run_initial else ())
@@ -527,7 +525,7 @@ class Pipeline:
             # --------------------------------------------------------------
             # Stage 4: KPCE — feature-space matching (sparse, exact).
             # --------------------------------------------------------------
-            with profiler.stage("KPCE"):
+            with tracer.stage("KPCE"):
                 kpce_config = config.kpce
                 if (
                     config.rejection.ratio_threshold is not None
@@ -542,7 +540,7 @@ class Pipeline:
                     source_state.descriptors,
                     target_state.descriptors,
                     kpce_config,
-                    profiler=profiler,
+                    tracer=tracer,
                     stats=stage_stats["KPCE"],
                     injector=config.injectors.get("KPCE"),
                 )
@@ -553,7 +551,7 @@ class Pipeline:
             # --------------------------------------------------------------
             # Stage 5: Correspondence Rejection -> initial transform.
             # --------------------------------------------------------------
-            with profiler.stage("Correspondence Rejection"):
+            with tracer.stage("Correspondence Rejection"):
                 # Feature rows -> 3D keypoint positions.
                 mapped = feature_corr.select(np.arange(len(feature_corr)))
                 mapped.source_indices = source_kp[feature_corr.source_indices]
@@ -582,7 +580,7 @@ class Pipeline:
             return target_state.searcher(
                 stage_stats["RPCE"],
                 fresh_approx=True,
-                profiler=profiler,
+                tracer=tracer,
                 injector=config.injectors.get("RPCE"),
             )
 
@@ -593,7 +591,7 @@ class Pipeline:
                 rpce_searcher_factory(),
                 config.icp,
                 initial=initial_transform,
-                profiler=profiler,
+                tracer=tracer,
                 searcher_factory=rpce_searcher_factory if approximate else None,
                 range_image=target_state.range_image,
             )
@@ -611,7 +609,8 @@ class Pipeline:
             transformation=icp_result.transformation,
             initial_transformation=initial_transform,
             icp=icp_result,
-            profiler=profiler,
+            # Filled when the caller's record_stages block closes.
+            profiler=timing,
             stage_stats=stage_stats,
             n_source_keypoints=n_source_kp,
             n_target_keypoints=n_target_kp,
@@ -629,30 +628,33 @@ class Pipeline:
         source: PointCloud,
         target: PointCloud,
         initial: np.ndarray | None = None,
-        profiler: StageProfiler | None = None,
+        tracer=None,
     ) -> RegistrationResult:
         """Estimate the transform aligning ``source`` onto ``target``.
 
         ``initial``, if given, seeds the fine-tuning phase directly and
         the initial-estimation phase is skipped (as is also the case
-        with ``config.skip_initial_estimation``).
+        with ``config.skip_initial_estimation``).  The result's
+        ``profiler`` table covers both preprocesses and the match.
         """
         # Reject empty inputs before any preprocessing work; voxel
         # downsampling cannot empty a non-empty cloud, so this is
         # equivalent to (but cheaper than) preprocess's own check.
         if len(source) == 0 or len(target) == 0:
             raise ValueError("cannot register empty point clouds")
-        profiler = profiler or StageProfiler()
         run_initial = self.runs_initial(initial)
-        source_state = self.preprocess(
-            source, profiler=profiler, with_features=run_initial
-        )
-        target_state = self.preprocess(
-            target, profiler=profiler, with_features=run_initial
-        )
-        return self.match(
-            source_state, target_state, initial=initial, profiler=profiler
-        )
+        with record_stages(tracer) as (tracer, timing):
+            source_state = self.preprocess(
+                source, tracer=tracer, with_features=run_initial
+            )
+            target_state = self.preprocess(
+                target, tracer=tracer, with_features=run_initial
+            )
+            result = self.match(
+                source_state, target_state, initial=initial, tracer=tracer
+            )
+        result.profiler = timing
+        return result
 
 
 def register_pair(

@@ -9,8 +9,8 @@ voxel-hash grid — behind one interface, and transparently:
 
 * accumulates :class:`~repro.kdtree.stats.SearchStats` (work counts for
   the accelerator model and Fig. 6);
-* charges wall time to the active :class:`~repro.profiling.StageProfiler`
-  (the Fig. 4b KD-tree vs. other split);
+* charges wall time to the tracer's innermost open span — the open
+  stage span (the Fig. 4b KD-tree vs. other split);
 * optionally applies an error injector (Fig. 7's k-th NN and shell
   radius studies).
 
@@ -34,7 +34,7 @@ through unchanged, and the front-end consumers gather from it directly
 — no per-query Python lists anywhere on the hot path.  The legacy
 ``radius_batch`` survives as a thin wrapper that slices the CSR result
 into per-query lists at the delivery edge.  The wrapper charges the
-profiler once per batch and counts one ``SearchStats.batches``
+tracer once per batch and counts one ``SearchStats.batches``
 increment per call; ``queries``/``results_returned`` stay exact per
 query (CSR-delivered queries additionally tick ``csr_results``), while
 the work counters (node visits, pruning) reflect the schedule actually
@@ -85,7 +85,6 @@ from repro.core.twostage import TwoStageKDTree
 from repro.kdtree import bruteforce
 from repro.kdtree.stats import SearchStats
 from repro.kdtree.tree import KDTree
-from repro.profiling.timer import StageProfiler
 
 __all__ = [
     "SearchConfig",
@@ -308,14 +307,14 @@ class NeighborSearcher:
         index,
         stats: SearchStats,
         build_time: float,
-        profiler: StageProfiler | None = None,
+        tracer=None,
         injector=None,
         reuse: RadiusReuseCache | None = None,
     ):
         self._index = index
         self.stats = stats
         self.build_time = build_time
-        self._profiler = profiler
+        self._tracer = tracer
         self._injector = injector
         self._reuse = reuse if reuse is not None and reuse.index is index else None
 
@@ -334,8 +333,8 @@ class NeighborSearcher:
             result = self._injector.nn(self._index, query, self.stats)
         else:
             result = self._index.nn(query, self.stats)
-        if self._profiler is not None:
-            self._profiler.charge_search(time.perf_counter() - start)
+        if self._tracer is not None:
+            self._tracer.charge_search(time.perf_counter() - start)
         return result
 
     def knn(self, query: np.ndarray, k: int) -> tuple[np.ndarray, np.ndarray]:
@@ -344,8 +343,8 @@ class NeighborSearcher:
             result = self._injector.knn(self._index, query, k, self.stats)
         else:
             result = self._index.knn(query, k, self.stats)
-        if self._profiler is not None:
-            self._profiler.charge_search(time.perf_counter() - start)
+        if self._tracer is not None:
+            self._tracer.charge_search(time.perf_counter() - start)
         return result
 
     def radius(
@@ -356,8 +355,8 @@ class NeighborSearcher:
             result = self._injector.radius(self._index, query, r, self.stats, sort)
         else:
             result = self._index.radius(query, r, self.stats, sort=sort)
-        if self._profiler is not None:
-            self._profiler.charge_search(time.perf_counter() - start)
+        if self._tracer is not None:
+            self._tracer.charge_search(time.perf_counter() - start)
         return result
 
     # ------------------------------------------------------------------
@@ -377,8 +376,8 @@ class NeighborSearcher:
         else:
             result = self._index.nn_batch(queries, self.stats)
         self.stats.batches += 1
-        if self._profiler is not None:
-            self._profiler.charge_search(time.perf_counter() - start)
+        if self._tracer is not None:
+            self._tracer.charge_search(time.perf_counter() - start)
         return result
 
     def knn_batch(
@@ -394,8 +393,8 @@ class NeighborSearcher:
         else:
             result = self._index.knn_batch(queries, k, self.stats)
         self.stats.batches += 1
-        if self._profiler is not None:
-            self._profiler.charge_search(time.perf_counter() - start)
+        if self._tracer is not None:
+            self._tracer.charge_search(time.perf_counter() - start)
         return result
 
     def radius_batch(
@@ -417,8 +416,8 @@ class NeighborSearcher:
         start = time.perf_counter()
         result, _ = self._radius_batch_impl(queries, r, sort, self_indices)
         self.stats.batches += 1
-        if self._profiler is not None:
-            self._profiler.charge_search(time.perf_counter() - start)
+        if self._tracer is not None:
+            self._tracer.charge_search(time.perf_counter() - start)
         return result.to_list_pair()
 
     def radius_batch_csr(
@@ -455,8 +454,8 @@ class NeighborSearcher:
         if csr_native:
             self.stats.csr_results += result.n_segments
         self.stats.batches += 1
-        if self._profiler is not None:
-            self._profiler.charge_search(time.perf_counter() - start)
+        if self._tracer is not None:
+            self._tracer.charge_search(time.perf_counter() - start)
         return result
 
     def _radius_batch_impl(
@@ -557,7 +556,7 @@ class NeighborSearcher:
 def build_index(
     points: np.ndarray,
     config: SearchConfig | None = None,
-    profiler: StageProfiler | None = None,
+    tracer=None,
 ) -> tuple[object, float]:
     """Construct the raw search structure over ``points``.
 
@@ -565,7 +564,7 @@ def build_index(
     pipeline's :class:`~repro.registration.pipeline.FrameState` owns and
     reuses across registrations; :class:`NeighborSearcher` instances are
     cheap per-stage views derived from it.  Build time is charged to the
-    profiler's active stage as KD-tree construction (the middle band of
+    tracer's open stage as KD-tree construction (the middle band of
     Fig. 4b).
     """
     config = config or SearchConfig()
@@ -586,8 +585,8 @@ def build_index(
     else:
         index = _BruteForceIndex(points)
     build_time = time.perf_counter() - start
-    if profiler is not None:
-        profiler.charge_construction(build_time)
+    if tracer is not None:
+        tracer.charge_construction(build_time)
     return index, build_time
 
 
@@ -604,17 +603,17 @@ def exact_index(index):
 def build_searcher(
     points: np.ndarray,
     config: SearchConfig | None = None,
-    profiler: StageProfiler | None = None,
+    tracer=None,
     stats: SearchStats | None = None,
     injector=None,
 ) -> NeighborSearcher:
     """Construct the configured search structure over ``points``.
 
-    Build time is charged to the profiler's active stage as KD-tree
+    Build time is charged to the tracer's open stage as KD-tree
     construction (the middle band of Fig. 4b).
     """
     stats = stats if stats is not None else SearchStats()
-    index, build_time = build_index(points, config, profiler)
+    index, build_time = build_index(points, config, tracer)
     return NeighborSearcher(
-        index, stats, build_time, profiler=profiler, injector=injector
+        index, stats, build_time, tracer=tracer, injector=injector
     )

@@ -8,15 +8,16 @@ run totals, and :mod:`repro.telemetry.export` serializes the result as
 Chrome trace-event JSON (Perfetto-loadable) or a flat JSONL run
 record.
 
-The legacy :class:`~repro.profiling.StageProfiler` is a thin
-compatibility shim over this layer: attach a tracer to a profiler and
-every ``profiler.stage(...)`` opens a span (category ``"stage"``)
-whose duration and KD-tree charges match the stage table exactly,
-while the surrounding layers (pipeline, streaming odometry, SLAM
-mapper, DSE explorer) contribute the structural spans above and below.
-With no tracer attached — the default everywhere — every
-instrumentation point hits :data:`NULL_TRACER` no-ops and costs
-nothing measurable.
+The stage table of the Fig. 4 analysis is a view of the same trace:
+pipeline stages open ``category="stage"`` spans via
+:meth:`Tracer.stage`, KD-tree search and build time is charged to the
+innermost open span, and :class:`StageTiming` rolls those spans up
+(``total``, ``stage_fractions()``, ``kdtree_fractions()``,
+``report()``).  The surrounding layers (pipeline, streaming odometry,
+SLAM mapper, DSE explorer) contribute the structural spans above and
+below.  Layers handed no tracer hit :data:`NULL_TRACER` no-ops; steps
+that report a stage table record into a short-lived tracer
+(:func:`record_stages`) and keep only the table.
 """
 
 from repro.telemetry.counters import CounterRegistry
@@ -27,13 +28,8 @@ from repro.telemetry.export import (
     write_jsonl,
     write_trace,
 )
-from repro.telemetry.tracer import (
-    NULL_TRACER,
-    NullTracer,
-    Span,
-    Tracer,
-    tracer_of,
-)
+from repro.telemetry.stages import StageTiming, StageTotals, record_stages
+from repro.telemetry.tracer import NULL_TRACER, NullTracer, Span, Tracer
 
 __all__ = [
     "CounterRegistry",
@@ -41,7 +37,9 @@ __all__ = [
     "Tracer",
     "NullTracer",
     "NULL_TRACER",
-    "tracer_of",
+    "StageTiming",
+    "StageTotals",
+    "record_stages",
     "JSONL_SCHEMA",
     "chrome_trace_events",
     "write_chrome_trace",

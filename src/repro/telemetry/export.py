@@ -6,10 +6,8 @@ Two serializations of the same span tree, for two audiences:
   (``{"traceEvents": [...]}`` with balanced ``B``/``E`` duration
   events), loadable in Perfetto / ``chrome://tracing``.  Adopted
   worker subtrees (DSE child processes) are laid out on their own
-  named tracks via their recorded pid.  The file may embed the run's
-  ``profilerTotals`` (stage name -> seconds from the StageProfiler
-  shim) so ``tools/check_trace.py`` can cross-check the span tree
-  against the legacy table.
+  named tracks via their recorded pid.  ``tools/check_trace.py``
+  validates the result.
 * :func:`write_jsonl` emits one self-describing record per line — a
   versioned header, one flat ``span`` record per tree node (with its
   materialized path), and a final ``counters`` record with the
@@ -123,13 +121,9 @@ def _jsonable(value):
     return str(value)
 
 
-def write_chrome_trace(
-    tracer, path: str, profiler_totals: dict | None = None, meta: dict | None = None
-) -> None:
+def write_chrome_trace(tracer, path: str, meta: dict | None = None) -> None:
     """Write the tracer's spans as a Chrome trace-event JSON file.
 
-    ``profiler_totals`` (stage name -> seconds) embeds the run's
-    StageProfiler view for the ``tools/check_trace.py`` cross-check;
     ``meta`` lands under ``otherData`` for human context.
     """
     payload: dict = {
@@ -138,10 +132,6 @@ def write_chrome_trace(
     }
     if meta:
         payload["otherData"] = meta
-    if profiler_totals is not None:
-        payload["profilerTotals"] = {
-            name: round(seconds, 6) for name, seconds in profiler_totals.items()
-        }
     payload["counterTotals"] = tracer.counters.totals()
     with open(path, "w", encoding="utf-8") as f:
         json.dump(payload, f, default=_jsonable)
@@ -200,11 +190,9 @@ def write_jsonl(tracer, path: str, meta: dict | None = None) -> None:
             f.write("\n")
 
 
-def write_trace(
-    tracer, path: str, profiler_totals: dict | None = None, meta: dict | None = None
-) -> None:
+def write_trace(tracer, path: str, meta: dict | None = None) -> None:
     """Dispatch on extension: ``.jsonl`` -> run record, else Chrome trace."""
     if path.endswith(".jsonl"):
         write_jsonl(tracer, path, meta=meta)
     else:
-        write_chrome_trace(tracer, path, profiler_totals=profiler_totals, meta=meta)
+        write_chrome_trace(tracer, path, meta=meta)

@@ -1,38 +1,33 @@
-"""Hierarchical stage profiler.
+"""The Fig. 4 stage table, rolled up from a trace's stage spans.
 
 The bottleneck analysis of paper Sec. 3.2 (Fig. 4) needs two views of
-the same run: wall time per pipeline *stage* (Normal Estimation, KPCE,
+one run: wall time per pipeline *stage* (Normal Estimation, KPCE,
 RPCE, ...) and, cutting across stages, time spent in KD-tree *search*
-versus KD-tree *construction* versus everything else.  ``StageProfiler``
-supports both: stages are timed with context managers, and the neighbor
-search wrapper charges its own time to dedicated cross-cutting buckets.
+versus KD-tree *construction* versus everything else.  Both come from
+the tracer: each stage is a :meth:`~repro.telemetry.Tracer.stage` span,
+and the neighbor-search wrapper charges its time to the innermost open
+span.  :class:`StageTiming` is the table those spans roll up to — a
+small picklable value that holds no span references, so results can
+carry it across steps and process boundaries.
 
-``StageProfiler`` is also the compatibility shim over the unified
-telemetry layer (:mod:`repro.telemetry`).  Attach a
-:class:`~repro.telemetry.Tracer` (the ``tracer`` field) and every
-stage additionally opens a span (category ``"stage"``) in the
-tracer's span tree — nested under whatever structural span the caller
-holds open — with *exactly* the duration and KD-tree charges the
-stage table records (the shim closes the span with its own measured
-elapsed time, so ``stage_fractions()`` and the span-tree rollup agree
-bit-for-bit; pinned by ``tests/telemetry/test_shim_equivalence.py``).
-With no tracer attached — the default — behavior and cost are
-unchanged from the pre-telemetry profiler.  Stages themselves still
-may not nest (the pipeline is sequential); arbitrary nesting lives in
-the tracer's structural spans, not in the stage table.
+:func:`record_stages` is how a step (one registration, one streaming
+push) gets its table: traced steps roll up their own subtree of the
+caller's tracer; untraced steps record into a short-lived
+:class:`~repro.telemetry.Tracer` whose spans die with the step.
 """
 
 from __future__ import annotations
 
-import time
 from contextlib import contextmanager
 from dataclasses import dataclass, field
 
-__all__ = ["StageProfiler", "StageTiming"]
+from repro.telemetry.tracer import STAGE_CATEGORY, Tracer
+
+__all__ = ["StageTotals", "StageTiming", "record_stages"]
 
 
 @dataclass
-class StageTiming:
+class StageTotals:
     """Accumulated timing for one named stage."""
 
     total: float = 0.0
@@ -47,57 +42,32 @@ class StageTiming:
 
 
 @dataclass
-class StageProfiler:
-    """Collects per-stage and cross-cutting KD-tree timings.
+class StageTiming:
+    """Per-stage and cross-cutting KD-tree timings of some stage spans."""
 
-    Stages may not overlap (the pipeline is sequential); the currently
-    open stage receives any KD-tree charges reported while it is active.
-    """
+    stages: dict[str, StageTotals] = field(default_factory=dict)
 
-    stages: dict[str, StageTiming] = field(default_factory=dict)
-    _active: str | None = None
-    # Optional repro.telemetry.Tracer backing this profiler.  When set,
-    # stages mirror into the tracer's span tree and KD-tree charges
-    # land on the innermost open span as well as the stage buckets.
-    tracer: object | None = None
+    @classmethod
+    def of(cls, spans) -> "StageTiming":
+        """Roll up every stage span in the subtrees rooted at ``spans``.
 
-    @contextmanager
-    def stage(self, name: str):
-        """Time a pipeline stage: ``with profiler.stage("RPCE"): ...``."""
-        if self._active is not None:
-            raise RuntimeError(
-                f"stage {name!r} opened while {self._active!r} is active"
-            )
-        timing = self.stages.setdefault(name, StageTiming())
-        self._active = name
-        tracer = self.tracer
-        span = tracer.begin(name, category="stage") if tracer is not None else None
-        start = time.perf_counter()
-        try:
-            yield timing
-        finally:
-            elapsed = time.perf_counter() - start
-            timing.total += elapsed
-            timing.calls += 1
-            self._active = None
-            if span is not None:
-                # Close with the measured elapsed time so the span tree
-                # and the stage table agree exactly.
-                tracer.end(span, duration=elapsed)
-
-    def charge_search(self, elapsed: float) -> None:
-        """Attribute ``elapsed`` seconds of KD-tree search to the open stage."""
-        if self._active is not None:
-            self.stages[self._active].kdtree_search += elapsed
-        if self.tracer is not None:
-            self.tracer.charge_search(elapsed)
-
-    def charge_construction(self, elapsed: float) -> None:
-        """Attribute KD-tree build time to the open stage."""
-        if self._active is not None:
-            self.stages[self._active].kdtree_construction += elapsed
-        if self.tracer is not None:
-            self.tracer.charge_construction(elapsed)
+        A stage's KD-tree time is the charges of its whole subtree;
+        charges outside every stage span stay out of the table.
+        """
+        timing = cls()
+        pending = list(reversed(spans))
+        while pending:
+            span = pending.pop()
+            if span.category != STAGE_CATEGORY:
+                pending.extend(reversed(span.children))
+                continue
+            charges = span.total_charges()
+            totals = timing.stages.setdefault(span.name, StageTotals())
+            totals.total += span.duration
+            totals.kdtree_search += charges.get("kdtree_search", 0.0)
+            totals.kdtree_construction += charges.get("kdtree_construction", 0.0)
+            totals.calls += 1
+        return timing
 
     # ------------------------------------------------------------------
     # Aggregations used by the Fig. 4 benches
@@ -114,15 +84,6 @@ class StageProfiler:
     @property
     def total_kdtree_construction(self) -> float:
         return sum(t.kdtree_construction for t in self.stages.values())
-
-    def stage_totals(self) -> dict[str, float]:
-        """Stage name -> accumulated seconds (the trace cross-check view).
-
-        This is what ``--trace`` flags embed as ``profilerTotals`` in
-        the Chrome trace so ``tools/check_trace.py`` can verify the
-        span tree against the legacy table.
-        """
-        return {name: timing.total for name, timing in self.stages.items()}
 
     def stage_fractions(self) -> dict[str, float]:
         """Fraction of total time per stage (Fig. 4a rows)."""
@@ -144,8 +105,8 @@ class StageProfiler:
             "other": max(0.0, total - search - construction) / total,
         }
 
-    def merge(self, other: "StageProfiler", stages: tuple | None = None) -> None:
-        """Fold another profiler's stages into this one.
+    def merge(self, other: "StageTiming", stages: tuple | None = None) -> None:
+        """Fold another table's stages into this one.
 
         ``stages`` restricts the fold to the named stages — used when a
         consumer only accounts part of a shared profile (e.g. the DSE
@@ -155,7 +116,7 @@ class StageProfiler:
         for name, timing in other.stages.items():
             if stages is not None and name not in stages:
                 continue
-            mine = self.stages.setdefault(name, StageTiming())
+            mine = self.stages.setdefault(name, StageTotals())
             mine.total += timing.total
             mine.kdtree_search += timing.kdtree_search
             mine.kdtree_construction += timing.kdtree_construction
@@ -177,7 +138,7 @@ class StageProfiler:
         :class:`~repro.registration.odometry.OdometryStats` as
         ``odometry_stats`` (extended mode only) appends the run's
         health line — non-converged ICP pairs and any recovery-ladder
-        activity, previously invisible in this view.
+        activity.
         """
         header = f"{'stage':<28}{'total(s)':>10}{'kd-search':>11}{'kd-build':>10}"
         if extended:
@@ -216,3 +177,23 @@ class StageProfiler:
         if extended and odometry_stats is not None:
             lines.append(f"health: {odometry_stats.summary()}")
         return "\n".join(lines)
+
+
+@contextmanager
+def record_stages(tracer=None):
+    """Record one step and roll up its stage table: yields ``(tracer, timing)``.
+
+    The step records into ``tracer`` when it is an enabled
+    :class:`~repro.telemetry.Tracer`, and into a short-lived
+    ``Tracer()`` otherwise (``None`` or the null tracer), so only the
+    table outlives an untraced step.  On exit ``timing`` holds the
+    rollup of exactly the spans the step opened, never its caller's.
+    """
+    if tracer is None or not tracer.enabled:
+        tracer = Tracer()
+    parent = tracer.current
+    siblings = parent.children if parent is not None else tracer.roots
+    first = len(siblings)
+    timing = StageTiming()
+    yield tracer, timing
+    timing.merge(StageTiming.of(siblings[first:]))

@@ -16,22 +16,28 @@ objects (``mapper -> pair -> match -> RPCE``), each span carrying
   :class:`~repro.kdtree.stats.SearchStats` fields of the stage that ran
   inside the span, attached via :meth:`Tracer.count_stats`;
 * cross-cutting time ``charges`` (KD-tree search / construction
-  seconds), attributed to the innermost open span exactly like
-  :meth:`~repro.profiling.StageProfiler.charge_search` attributes them
-  to the open stage.
+  seconds), attributed to the innermost open span — the open stage
+  span whenever one is open.
+
+Stage spans (:meth:`Tracer.stage`, category ``"stage"``) carry the
+paper's Fig. 4 stage names and never nest inside one another; the
+stage table (:class:`~repro.telemetry.stages.StageTiming`) is a rollup
+of them, so the trace is the only record of where time went.
 
 Counters roll up: :meth:`Span.total_counters` and
 :meth:`Span.total_charges` aggregate a span's own values with all of
 its descendants', and the tracer-wide :class:`CounterRegistry` keeps
 run totals independent of the tree.
 
-Tracing must cost nothing when off.  Call sites never branch on a
-flag; they call the same methods on :data:`NULL_TRACER`, a
-:class:`NullTracer` whose every method is a constant-time no-op (its
-``span()`` returns one preallocated context manager).  The overhead of
-the disabled path is a few attribute lookups per *stage*, not per
-query — unmeasurable next to the stages themselves (see
-``benchmarks/bench_stream_odometry.py``'s telemetry record).
+Call sites never branch on a flag.  A layer handed no tracer calls
+the same methods on :data:`NULL_TRACER`, a :class:`NullTracer` whose
+every method is a constant-time no-op (its ``span()`` and ``stage()``
+return one preallocated context manager).  A step that reports a stage
+table (a registration, a streaming push) instead records into a
+short-lived ``Tracer()`` when untraced and keeps only the rolled-up
+table (:func:`~repro.telemetry.stages.record_stages`): a span per
+*stage*, not per query — unmeasurable next to the stages themselves
+(see ``benchmarks/bench_stream_odometry.py``'s telemetry record).
 
 Crossing process boundaries (the DSE ``ProcessPoolExecutor``):
 :meth:`Tracer.freeze` serializes a tracer's span tree to plain dicts
@@ -50,10 +56,10 @@ from dataclasses import fields, is_dataclass
 
 from repro.telemetry.counters import CounterRegistry
 
-__all__ = ["Span", "Tracer", "NullTracer", "NULL_TRACER", "tracer_of"]
+__all__ = ["Span", "Tracer", "NullTracer", "NULL_TRACER"]
 
-# Span categories: "stage" marks spans opened by the StageProfiler shim
-# (the Fig. 4 stage names); everything else is a structural span.
+# Span categories: "stage" marks spans opened by Tracer.stage (the
+# Fig. 4 stage names); everything else is a structural span.
 STAGE_CATEGORY = "stage"
 
 
@@ -181,6 +187,7 @@ class Tracer:
         self.pid = os.getpid()
         self.roots: list[Span] = []
         self._stack: list[Span] = []
+        self._stage: Span | None = None
         self.counters = CounterRegistry()
 
     # ------------------------------------------------------------------
@@ -207,10 +214,8 @@ class Tracer:
     def end(self, span: Span, duration: float | None = None) -> None:
         """Close ``span``; must be the innermost open span.
 
-        ``duration`` overrides the measured wall time — the
-        StageProfiler shim passes its own measured elapsed time so the
-        span tree and the stage table agree *exactly*, not just to
-        clock precision.
+        ``duration`` overrides the measured wall time (deterministic
+        traces in tests and tools).
         """
         if not self._stack or self._stack[-1] is not span:
             raise RuntimeError(
@@ -230,6 +235,24 @@ class Tracer:
         try:
             yield opened
         finally:
+            self.end(opened)
+
+    @contextmanager
+    def stage(self, name: str):
+        """Time a pipeline stage: ``with tracer.stage("RPCE"): ...``.
+
+        A ``category="stage"`` span under the innermost open span.
+        Stages are sequential, so one may not open while another is.
+        """
+        if self._stage is not None:
+            raise RuntimeError(
+                f"stage {name!r} opened while {self._stage.name!r} is active"
+            )
+        opened = self._stage = self.begin(name, STAGE_CATEGORY)
+        try:
+            yield opened
+        finally:
+            self._stage = None
             self.end(opened)
 
     # ------------------------------------------------------------------
@@ -272,8 +295,7 @@ class Tracer:
             charges = self._stack[-1].charges
             charges[name] = charges.get(name, 0.0) + seconds
 
-    # Aliases matching the StageProfiler vocabulary, so the searcher's
-    # charge keys and the shim's forwarding read the same.
+    # The two KD-tree charges the Fig. 4b split reads.
     def charge_search(self, seconds: float) -> None:
         self.charge("kdtree_search", seconds)
 
@@ -326,40 +348,6 @@ class Tracer:
         self.counters.merge(payload.get("counters", {}))
         return adopted
 
-    # ------------------------------------------------------------------
-    # Aggregations.
-    # ------------------------------------------------------------------
-
-    def stage_rollup(self) -> dict:
-        """Per-stage totals recovered purely from the span tree.
-
-        Sums duration and KD-tree charges over every ``category ==
-        "stage"`` span, keyed by stage name — the quantity that must
-        match the StageProfiler shim's table exactly (pinned by
-        ``tests/telemetry/test_shim_equivalence.py``).
-        """
-        rollup: dict[str, dict] = {}
-        for root in self.roots:
-            for span in root.walk():
-                if span.category != STAGE_CATEGORY:
-                    continue
-                entry = rollup.setdefault(
-                    span.name,
-                    {
-                        "total": 0.0,
-                        "kdtree_search": 0.0,
-                        "kdtree_construction": 0.0,
-                        "calls": 0,
-                    },
-                )
-                entry["total"] += span.duration
-                entry["kdtree_search"] += span.charges.get("kdtree_search", 0.0)
-                entry["kdtree_construction"] += span.charges.get(
-                    "kdtree_construction", 0.0
-                )
-                entry["calls"] += 1
-        return rollup
-
 
 class _NullSpan:
     """Inert span handed out by the null tracer's context manager."""
@@ -404,6 +392,9 @@ class NullTracer:
     def span(self, name, category=None, **args):
         return _NULL_CONTEXT
 
+    def stage(self, name):
+        return _NULL_CONTEXT
+
     def begin(self, name, category=None, **args):
         return _NULL_SPAN
 
@@ -428,19 +419,5 @@ class NullTracer:
     def charge_construction(self, seconds):
         pass
 
-    def stage_rollup(self):
-        return {}
-
 
 NULL_TRACER = NullTracer()
-
-
-def tracer_of(profiler) -> "Tracer | NullTracer":
-    """The tracer backing a StageProfiler, or the null tracer.
-
-    The profiler argument is how a tracer travels through the pipeline
-    layers (every entry point already threads one); instrumentation
-    points call ``tracer_of(profiler)`` and never branch on enablement.
-    """
-    tracer = getattr(profiler, "tracer", None)
-    return NULL_TRACER if tracer is None else tracer

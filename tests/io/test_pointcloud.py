@@ -141,6 +141,17 @@ class TestDownsampling:
         empty = PointCloud(np.empty((0, 3)))
         assert len(empty.voxel_downsample(1.0)) == 0
 
+    @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
+    def test_voxel_downsample_rejects_non_finite_rows(self, bad):
+        # Every 20th row of a real scan: once crashed with IndexError
+        # inside the voxel grouping instead of a named rejection.
+        from repro.io import make_sequence
+
+        points = make_sequence(n_frames=2, seed=1).frames[0].points.copy()
+        points[::20] = bad
+        with pytest.raises(ValueError, match="points contain NaN or infinity"):
+            PointCloud(points).voxel_downsample(0.5)
+
     def test_random_downsample_fraction(self, cloud, rng):
         half = cloud.random_downsample(0.5, rng)
         assert len(half) == 15

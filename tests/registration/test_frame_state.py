@@ -10,7 +10,6 @@ import numpy as np
 import pytest
 
 from repro.kdtree import SearchStats
-from repro.profiling import StageProfiler
 from repro.registration import (
     ICPConfig,
     KeypointConfig,
@@ -179,10 +178,9 @@ class TestStatsAttribution:
         pipeline = quick_pipeline()
         source_state = pipeline.preprocess(source)
         target_state = pipeline.preprocess(target)
-        profiler = StageProfiler()
-        pipeline.match(source_state, target_state, profiler=profiler)
+        result = pipeline.match(source_state, target_state)
         for stage in PREPROCESS_STAGES:
-            assert stage not in profiler.stages
+            assert stage not in result.profiler.stages
 
     def test_seeded_match_excludes_feature_work(self, lidar_pair):
         """A seeded pair never ran keypoints/descriptors in the

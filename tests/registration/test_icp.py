@@ -5,7 +5,6 @@ import pytest
 
 from repro.geometry import se3
 from repro.io import PointCloud
-from repro.profiling import StageProfiler
 from repro.registration import (
     ICPConfig,
     NormalEstimationConfig,
@@ -15,6 +14,7 @@ from repro.registration import (
     estimate_normals,
     icp,
 )
+from repro.telemetry import StageTiming, Tracer
 
 
 @pytest.fixture(scope="module")
@@ -134,18 +134,19 @@ class TestConfiguration:
     def test_profiler_stages_charged(self, structured_target, rng):
         target, _ = structured_target
         source, _ = displaced_source(target, rng)
-        profiler = StageProfiler()
-        # The searcher must carry the profiler for its query timing to be
-        # charged to the active stage (the pipeline wires this the same way).
-        searcher = build_searcher(target.points, SearchConfig(), profiler=profiler)
+        tracer = Tracer()
+        # The searcher must carry the tracer for its query timing to be
+        # charged to the open stage (the pipeline wires this the same way).
+        searcher = build_searcher(target.points, SearchConfig(), tracer=tracer)
         icp(
             source, target, searcher,
             ICPConfig(rpce=RPCEConfig(max_distance=1.5), max_iterations=5),
-            profiler=profiler,
+            tracer=tracer,
         )
-        assert "RPCE" in profiler.stages
-        assert "Error Minimization" in profiler.stages
-        assert profiler.stages["RPCE"].kdtree_search > 0
+        stages = StageTiming.of(tracer.roots).stages
+        assert "RPCE" in stages
+        assert "Error Minimization" in stages
+        assert stages["RPCE"].kdtree_search > 0
 
     def test_searcher_factory_called_per_iteration(self, structured_target, rng):
         target, _ = structured_target

@@ -5,7 +5,6 @@ import pytest
 
 from repro.geometry import metrics
 from repro.kdtree import SearchStats
-from repro.profiling import StageProfiler
 from repro.registration import (
     STAGE_NAMES,
     ICPConfig,
@@ -53,12 +52,9 @@ class TestRegister:
 
     def test_initial_seed_skips_front_end(self, lidar_pair):
         source, target, gt = lidar_pair
-        profiler = StageProfiler()
-        result = Pipeline(quick_config()).register(
-            source, target, initial=gt, profiler=profiler
-        )
+        result = Pipeline(quick_config()).register(source, target, initial=gt)
         assert result.n_source_keypoints == 0
-        assert "Key-point Detection" not in profiler.stages
+        assert "Key-point Detection" not in result.profiler.stages
         assert np.array_equal(result.initial_transformation, gt)
 
     def test_skip_initial_estimation_flag(self, lidar_pair):
@@ -76,6 +72,20 @@ class TestRegister:
         with pytest.raises(ValueError):
             Pipeline(quick_config()).register(empty, target)
 
+    @pytest.mark.parametrize("bad", [np.nan, np.inf])
+    @pytest.mark.parametrize("voxel", [None, 0.5])
+    def test_non_finite_rows_rejected_by_name(self, bad, voxel):
+        """With or without downsampling, a frame with NaN/inf rows is
+        refused with the same named ValueError before any search."""
+        import repro.io
+
+        frame = repro.io.make_sequence(n_frames=2, seed=1).frames[0]
+        points = frame.points.copy()
+        points[::20] = bad
+        pipeline = Pipeline(PipelineConfig(voxel_downsample=voxel))
+        with pytest.raises(ValueError, match="points contain NaN or infinity"):
+            pipeline.preprocess(repro.io.PointCloud(points))
+
     def test_register_pair_convenience(self, lidar_pair):
         source, target, _ = lidar_pair
         result = register_pair(source, target, quick_config())
@@ -85,10 +95,9 @@ class TestRegister:
 class TestInstrumentation:
     def test_all_stages_profiled(self, lidar_pair):
         source, target, _ = lidar_pair
-        profiler = StageProfiler()
-        Pipeline(quick_config()).register(source, target, profiler=profiler)
+        result = Pipeline(quick_config()).register(source, target)
         for stage in STAGE_NAMES:
-            assert stage in profiler.stages, stage
+            assert stage in result.profiler.stages, stage
 
     def test_stage_stats_populated(self, lidar_pair):
         source, target, _ = lidar_pair
@@ -101,9 +110,8 @@ class TestInstrumentation:
         """The paper's core observation (Fig. 4b): KD-tree search is a
         large share of registration time across design points."""
         source, target, _ = lidar_pair
-        profiler = StageProfiler()
-        Pipeline(quick_config()).register(source, target, profiler=profiler)
-        fractions = profiler.kdtree_fractions()
+        result = Pipeline(quick_config()).register(source, target)
+        fractions = result.profiler.kdtree_fractions()
         assert fractions["search"] > 0.3
 
 

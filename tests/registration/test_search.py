@@ -5,8 +5,8 @@ import pytest
 
 from repro.core import ApproximateSearch, TwoStageKDTree
 from repro.kdtree import KDTree, SearchStats
-from repro.profiling import StageProfiler
 from repro.registration import SearchConfig, build_searcher
+from repro.telemetry import StageTiming, Tracer
 
 
 @pytest.fixture
@@ -73,11 +73,11 @@ class TestInstrumentation:
         assert stats.nodes_visited > 0
 
     def test_profiler_charged(self, points, rng):
-        profiler = StageProfiler()
-        with profiler.stage("Normal Estimation"):
-            searcher = build_searcher(points, SearchConfig(), profiler=profiler)
+        tracer = Tracer()
+        with tracer.stage("Normal Estimation"):
+            searcher = build_searcher(points, SearchConfig(), tracer=tracer)
             searcher.nn(rng.normal(size=3))
-        timing = profiler.stages["Normal Estimation"]
+        timing = StageTiming.of(tracer.roots).stages["Normal Estimation"]
         assert timing.kdtree_construction > 0
         assert timing.kdtree_search > 0
         assert timing.total >= timing.kdtree_search

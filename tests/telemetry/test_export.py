@@ -97,13 +97,11 @@ class TestWriteChromeTrace:
         write_chrome_trace(
             sample_tracer(),
             str(path),
-            profiler_totals={"RPCE": 0.05},
             meta={"bench": "unit"},
         )
         payload = json.loads(path.read_text())
         assert payload["displayTimeUnit"] == "ms"
         assert payload["otherData"] == {"bench": "unit"}
-        assert payload["profilerTotals"] == {"RPCE": 0.05}
         assert payload["counterTotals"] == {"nodes_visited": 42}
         assert load_check_trace().check_trace(payload) == []
 
@@ -120,15 +118,32 @@ class TestWriteChromeTrace:
         assert failures  # unclosed span must be reported
         assert any("RPCE" in failure for failure in failures)
 
-    def test_validator_flags_profiler_disagreement(self, tmp_path):
+    def test_validator_flags_nested_stage(self, tmp_path):
+        tracer = sample_tracer()
+        with tracer.span("pair"):
+            outer = tracer.begin("KPCE", category=STAGE_CATEGORY)
+            inner = tracer.begin("RPCE", category=STAGE_CATEGORY)
+            tracer.end(inner, duration=0.01)
+            tracer.end(outer, duration=0.02)
         path = tmp_path / "trace.json"
-        write_chrome_trace(
-            sample_tracer(), str(path), profiler_totals={"RPCE": 0.05}
-        )
-        payload = json.loads(path.read_text())
-        payload["profilerTotals"]["RPCE"] = 0.5  # 10x off
-        failures = load_check_trace().check_trace(payload)
-        assert any("RPCE" in failure for failure in failures)
+        write_chrome_trace(tracer, str(path))
+        failures = load_check_trace().check_trace(json.loads(path.read_text()))
+        assert len(failures) == 1
+        assert "'RPCE' opens inside stage 'KPCE'" in failures[0]
+
+    def test_validator_allows_stages_on_separate_tracks(self):
+        # Worker subtrees land on their own tracks: a stage open in the
+        # parent does not make a worker's stage nested.
+        parent = Tracer()
+        worker = Tracer()
+        worker.pid = parent.pid + 1
+        with worker.span("group"):
+            with worker.stage("RPCE"):
+                pass
+        with parent.stage("KPCE"):
+            parent.adopt(worker.freeze())
+        events = chrome_trace_events(parent)
+        assert load_check_trace().check_trace({"traceEvents": events}) == []
 
 
 class TestWriteJsonl:

@@ -5,7 +5,7 @@ import time
 import pytest
 
 from repro.kdtree import SearchStats
-from repro.telemetry import NULL_TRACER, CounterRegistry, NullTracer, Tracer, tracer_of
+from repro.telemetry import CounterRegistry, NullTracer, StageTiming, Tracer
 from repro.telemetry.tracer import FREEZE_SCHEMA, STAGE_CATEGORY
 
 
@@ -203,12 +203,12 @@ class TestStageRollup:
             span = tracer.begin("RPCE", category=STAGE_CATEGORY)
             tracer.charge_construction(0.1)
             tracer.end(span, duration=0.5)
-        rollup = tracer.stage_rollup()
+        rollup = StageTiming.of(tracer.roots).stages
         assert set(rollup) == {"RPCE"}
-        assert rollup["RPCE"]["total"] == pytest.approx(1.5)
-        assert rollup["RPCE"]["kdtree_search"] == pytest.approx(0.3)
-        assert rollup["RPCE"]["kdtree_construction"] == pytest.approx(0.1)
-        assert rollup["RPCE"]["calls"] == 2
+        assert rollup["RPCE"].total == pytest.approx(1.5)
+        assert rollup["RPCE"].kdtree_search == pytest.approx(0.3)
+        assert rollup["RPCE"].kdtree_construction == pytest.approx(0.1)
+        assert rollup["RPCE"].calls == 2
 
 
 class TestCounterRegistry:
@@ -236,7 +236,7 @@ class TestCounterRegistry:
 class TestNullTracer:
     def test_all_methods_are_noops(self):
         null = NullTracer()
-        with null.span("anything", key=1) as span:
+        with null.span("anything", key=1) as span, null.stage("RPCE"):
             null.annotate(x=1)
             null.count("n", 5)
             null.count_stats(SearchStats(queries=1))
@@ -244,18 +244,9 @@ class TestNullTracer:
             null.charge_construction(1.0)
         assert span.total_counters() == {}
         assert span.total_charges() == {}
-        assert null.stage_rollup() == {}
         assert null.roots == ()
         assert not null.enabled
 
     def test_span_context_is_preallocated(self):
         null = NullTracer()
         assert null.span("a") is null.span("b")
-
-    def test_tracer_of(self):
-        from repro.profiling import StageProfiler
-
-        assert tracer_of(None) is NULL_TRACER
-        assert tracer_of(StageProfiler()) is NULL_TRACER
-        tracer = Tracer()
-        assert tracer_of(StageProfiler(tracer=tracer)) is tracer

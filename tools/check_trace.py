@@ -10,17 +10,14 @@ invariants the telemetry layer promises:
    form a properly nested stack — every begin has a matching end with
    the same name, timestamps are monotonically consistent (an ``E``
    never precedes its ``B``), and nothing is left open at the end.
-3. **Shim agreement**: when the file embeds ``profilerTotals`` (stage
-   name -> seconds from the StageProfiler table), the summed duration
-   of the trace's ``cat == "stage"`` spans per stage must match within
-   ``--tolerance`` (default 1%) — the span tree and the legacy
-   profiler are two views of the same measurement, not two
-   measurements.
+3. **Flat stages**: no ``cat == "stage"`` span opens while another
+   stage span is open on the same track — stages are sequential, and
+   the stage table (a rollup of these spans) counts each one once.
 
 Exit status is 0 when every check passes, 1 with a per-failure report
 otherwise.
 
-Run:  python tools/check_trace.py trace.json [--tolerance 0.01]
+Run:  python tools/check_trace.py trace.json
 """
 
 from __future__ import annotations
@@ -32,7 +29,7 @@ import sys
 STAGE_CATEGORY = "stage"
 
 
-def check_trace(payload: dict, tolerance: float = 0.01) -> list[str]:
+def check_trace(payload: dict) -> list[str]:
     """All violated invariants of an exported Chrome trace (empty = pass)."""
     failures: list[str] = []
     events = payload.get("traceEvents")
@@ -41,9 +38,8 @@ def check_trace(payload: dict, tolerance: float = 0.01) -> list[str]:
     if not events:
         failures.append("traceEvents is empty")
 
-    # Balanced B/E per (pid, tid) track, with per-stage duration sums.
+    # Balanced B/E per (pid, tid) track; stage spans may not nest.
     stacks: dict[tuple, list] = {}
-    stage_totals: dict[str, float] = {}
     for position, event in enumerate(events):
         phase = event.get("ph")
         if phase not in ("B", "E", "M"):
@@ -62,14 +58,22 @@ def check_trace(payload: dict, tolerance: float = 0.01) -> list[str]:
         key = (event["pid"], event["tid"])
         stack = stacks.setdefault(key, [])
         if phase == "B":
-            stack.append((name, ts, event.get("cat")))
+            category = event.get("cat")
+            if category == STAGE_CATEGORY:
+                outer = [n for n, _, c in stack if c == STAGE_CATEGORY]
+                if outer:
+                    failures.append(
+                        f"event {position}: stage {name!r} opens inside "
+                        f"stage {outer[-1]!r} on {key}"
+                    )
+            stack.append((name, ts, category))
         else:
             if not stack:
                 failures.append(
                     f"event {position}: E {name!r} with empty stack on {key}"
                 )
                 continue
-            open_name, open_ts, category = stack.pop()
+            open_name, open_ts, _ = stack.pop()
             if open_name != name:
                 failures.append(
                     f"event {position}: E {name!r} closes B {open_name!r} "
@@ -81,47 +85,11 @@ def check_trace(payload: dict, tolerance: float = 0.01) -> list[str]:
                     f"event {position}: {name!r} ends at {ts} before its "
                     f"begin at {open_ts}"
                 )
-                continue
-            if category == STAGE_CATEGORY:
-                stage_totals[name] = stage_totals.get(name, 0.0) + (
-                    (ts - open_ts) / 1e6
-                )
     for key, stack in stacks.items():
         if stack:
             failures.append(
                 f"track {key}: {len(stack)} span(s) left open "
                 f"({', '.join(repr(name) for name, _, _ in stack)})"
-            )
-
-    # Span totals vs the embedded StageProfiler table.
-    profiler_totals = payload.get("profilerTotals")
-    if profiler_totals is not None:
-        for stage, recorded in profiler_totals.items():
-            traced = stage_totals.get(stage)
-            if traced is None:
-                failures.append(
-                    f"stage {stage!r} in profilerTotals but has no "
-                    f"stage span in the trace"
-                )
-                continue
-            if recorded == 0.0:
-                if traced > tolerance:
-                    failures.append(
-                        f"stage {stage!r}: traced {traced:.6f}s vs "
-                        f"recorded 0s"
-                    )
-                continue
-            relative = abs(traced - recorded) / recorded
-            if relative > tolerance:
-                failures.append(
-                    f"stage {stage!r}: traced {traced:.6f}s vs recorded "
-                    f"{recorded:.6f}s ({100 * relative:.2f}% off, "
-                    f"tolerance {100 * tolerance:.0f}%)"
-                )
-        extra = set(stage_totals) - set(profiler_totals)
-        if extra:
-            failures.append(
-                f"stage spans missing from profilerTotals: {sorted(extra)}"
             )
     return failures
 
@@ -129,12 +97,6 @@ def check_trace(payload: dict, tolerance: float = 0.01) -> list[str]:
 def main() -> int:
     parser = argparse.ArgumentParser(description=__doc__)
     parser.add_argument("trace", help="Chrome trace-event JSON file to check")
-    parser.add_argument(
-        "--tolerance",
-        type=float,
-        default=0.01,
-        help="max relative stage-total deviation vs profilerTotals",
-    )
     args = parser.parse_args()
 
     try:
@@ -144,16 +106,15 @@ def main() -> int:
         print(f"FAIL: cannot read {args.trace}: {error}")
         return 1
 
-    failures = check_trace(payload, tolerance=args.tolerance)
+    failures = check_trace(payload)
     n_events = len(payload.get("traceEvents", []))
     if failures:
         for failure in failures:
             print(f"FAIL: {failure}")
         return 1
-    n_stages = len(payload.get("profilerTotals", {}) or {})
     print(
-        f"OK: {args.trace} — {n_events} events, balanced B/E on every "
-        f"track, {n_stages} stage total(s) within tolerance"
+        f"OK: {args.trace} — {n_events} events, balanced B/E and no "
+        f"nested stage span on every track"
     )
     return 0
 
