@@ -6,12 +6,16 @@ stage-sized query set issued three ways through
 
 ``seed_scalar``
     The per-query implementation the repository shipped before the batch
-    query layer (reimplemented here as a pinned reference): einsum
-    brute-force scans with fresh allocations per call, and per-query
-    tree traversals, each through the scalar wrapper.
+    query layer, for brute force (reimplemented here as a pinned
+    reference: einsum scans with fresh allocations per call).  The
+    per-query tree traversals it used for the tree backends are
+    deleted, so for those backends this column times the same loop as
+    ``scalar``; ``BENCH_batch.json`` holds the per-query traversal
+    times recorded before the deletion.
 ``scalar``
-    The current scalar methods called in a Python loop (these now share
-    the batch kernels, so they are already faster than the seed).
+    One-query calls in a Python loop.  Every search is a batch, so
+    ``NeighborSearcher.nn``/``radius``/``knn`` each run a batch of one
+    row: this column measures per-call overhead, not a second kernel.
 ``batched``
     One ``nn_batch`` / ``radius_batch`` / ``knn_batch`` call.
 
@@ -88,8 +92,8 @@ def bench_backend(backend: str, points: np.ndarray, queries: np.ndarray, repeats
             "knn": lambda: [seed_knn(q, K) for q in queries],
         }
     else:
-        # Tree traversals are unchanged since the seed modulo the shared
-        # tie-rule arithmetic; the scalar loop is the seed behavior.
+        # The per-query tree traversals are deleted; one-row batches
+        # stand in for them.
         seed_ops = {
             "nn": lambda: [searcher.nn(q) for q in queries],
             "radius": lambda: [searcher.radius(q, RADIUS) for q in queries],

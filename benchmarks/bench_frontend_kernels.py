@@ -104,12 +104,15 @@ RESULTS_DIR = os.path.join(os.path.dirname(os.path.abspath(__file__)), "results"
 
 
 class ReplaySearcher:
-    """Replays a recorded ``radius_batch`` call sequence.
+    """Replays a recorded radius-search call sequence.
 
     The first pass through a stage records real results (and their
     search cost); subsequent passes replay them in call order for
     free, so timing loops measure aggregation only.  Valid because the
     parity suite proves both paths issue identical query sequences.
+    The seed loops ask for per-query lists (``radius_batch``) and the
+    CSR kernels for the flat result (``radius_batch_csr``), so each
+    recorded call keeps both forms, built once at record time.
     """
 
     def __init__(self, searcher):
@@ -122,15 +125,22 @@ class ReplaySearcher:
     def points(self):
         return self._searcher.points
 
+    def radius_batch_csr(self, queries, r, sort=False, self_indices=None):
+        return self._next(queries, r, sort)[0]
+
     def radius_batch(self, queries, r, sort=False, self_indices=None):
-        # ``self_indices`` (the reuse-cache hint) is accepted and
-        # dropped: a replaying searcher must not fill or serve a cache.
+        return self._next(queries, r, sort)[1]
+
+    def _next(self, queries, r, sort):
+        # ``self_indices`` (the reuse-cache hint) is dropped by both
+        # entry points: a replaying searcher must not fill or serve a
+        # cache.
         if self._cursor is None:
             start = time.perf_counter()
-            result = self._searcher.radius_batch(queries, r, sort=sort)
+            result = self._searcher.radius_batch_csr(queries, r, sort=sort)
             self.search_s += time.perf_counter() - start
-            self._recorded.append(result)
-            return result
+            self._recorded.append((result, result.to_list_pair()))
+            return self._recorded[-1]
         result = self._recorded[self._cursor]
         self._cursor += 1
         return result

@@ -7,7 +7,6 @@ realistic LiDAR frame.  Regressions here would silently inflate every
 workload-tracing bench above.
 """
 
-import numpy as np
 import pytest
 
 from repro.core import ApproximateSearch, TwoStageKDTree
@@ -36,12 +35,7 @@ def test_build_twostage(benchmark, frame_points):
 
 def test_nn_canonical(benchmark, frame_points, queries):
     tree = KDTree(frame_points)
-
-    def run():
-        for query in queries:
-            tree.nn(query)
-
-    benchmark(run)
+    benchmark(lambda: tree.nn_batch(queries))
 
 
 def test_nn_twostage(benchmark, frame_points, queries):

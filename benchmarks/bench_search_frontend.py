@@ -5,9 +5,7 @@ PR 5 left batched neighbor *search* as the front end's critical path
 search-layer rebuild buys, in three views:
 
 * **search_only** — build + batched radius/nn throughput of every
-  backend on the 53k-point bench frame's front-end cloud, including
-  the canonical tree's pre-rebuild sequential (per-query Python loop)
-  batch path next to its level-synchronous frontier sweep.  Radius at
+  backend on the 53k-point bench frame's front-end cloud.  Radius at
   the feature radius is timed twice: the legacy list delivery
   (``radius_batch`` — fill plus per-query slicing) and the CSR-native
   delivery (``radius_batch_csr`` — fill only), with the CSR result
@@ -17,9 +15,12 @@ search-layer rebuild buys, in three views:
   per backend, with nested-radius reuse on versus forced off (the
   post-PR-5 behavior: every stage searches fresh).  The headline
   acceptance compares the canonical tree — the paper's baseline
-  structure and ROADMAP's named bottleneck — before the rebuild
-  (sequential batch traversal, fresh per-stage searches) and after
-  (frontier sweep, one inflated search serving the nested stages).
+  structure and ROADMAP's named bottleneck — after the rebuild
+  (frontier sweep, one inflated search serving the nested stages)
+  against its front end before it (a per-query traversal loop, fresh
+  per-stage searches), recorded in ``BENCH_search.json`` as
+  ``canonical_sequential_fresh``.  The per-query loop is deleted, so
+  that baseline is a recorded constant, not re-measured.
 * **streaming** — steady-state per-pair odometry cost with reuse on
   vs off: BENCH_frontend.json's small-frame workload (uniform and
   Harris keypoints; per-pair cost there is RPCE/ICP-bound, so the
@@ -30,10 +31,9 @@ search-layer rebuild buys, in three views:
   BENCH_frontend's 0.19 s/pair) do not transfer across machine
   states.
 
-All "before" paths are produced by pinning the still-shipping code
-paths (``sequential=True`` batch traversal, reuse plan forced off), so
-both sides run in one process on identical inputs, and every exact
-variant is asserted bit-identical before timing.
+The reuse "before" path is produced by forcing the still-shipping
+reuse plan off, so both sides run in one process on identical inputs,
+and every exact variant is asserted bit-identical before timing.
 
 Acceptance: canonical-tree front end (search+aggregation) >= 3x over
 its post-PR-5 path on the 53k-point bench frame; twostage CSR-native
@@ -51,13 +51,15 @@ Run standalone to (re)record the baseline:
 
 ``--smoke`` runs a small-cloud parity + timing pass (the fast CI job
 wires this in next to the DSE/mapping/frontend smokes).
-``--check-floors PATH`` additionally guards the structural speedups —
-the canonical frontier-sweep win and the twostage CSR-delivery win,
-both within-run ratios and therefore machine-portable — against the
-recorded ``BENCH_search.json``, failing on a >50% regression so
-future PRs cannot silently give the wins back (the guarded wins carry
-1.5-19x margins, so the wide slack still catches any real regression
-while staying above run-to-run ratio noise).
+``--check-floors PATH`` additionally guards two within-run ratios,
+machine-portable because both sides run on the same cloud in the same
+process, against the recorded ``BENCH_search.json``: the twostage
+CSR-delivery win (a floor: it may lose 50%) and the canonical
+frontier sweep's radius@1.0 time over the two-stage tree's (a
+ceiling: it may grow 50%).  The ceiling keeps the canonical tree on
+its frontier sweep: a fallback to a per-query loop is an order of
+magnitude slower and trips it, while run-to-run ratio noise stays
+inside the slack.
 """
 
 from __future__ import annotations
@@ -76,7 +78,6 @@ from repro.core.ragged import RaggedNeighborhoods
 from repro.io import make_sequence
 from repro.io.dataset import default_test_model
 from repro.io.synthetic import LidarModel
-from repro.kdtree import KDTree
 from repro.registration import (
     DescriptorConfig,
     ICPConfig,
@@ -98,14 +99,17 @@ ACCEPT_TWOSTAGE_FRONTEND_S = 1.25
 # against them: the paths they timed — per-leaf-hit Python list
 # appends inside the traversal and a per-query concatenate/argsort/
 # sqrt delivery loop — were removed by the CSR-native rebuild, so
-# they cannot be re-measured in-process the way the canonical
-# sequential loop can.
+# they cannot be re-measured in-process.
 PR6_TWOSTAGE_RADIUS10_S = 0.7607
 PR6_TWOSTAGE_FRONTEND_S = 1.481
-# Regression-guard slack: a guarded speedup may lose 50% relative to
-# its recorded baseline before the guard fails — above observed
-# run-to-run ratio noise (~1.3x on a loaded host), far below the
-# wins' margins.
+# The canonical front end on its deleted per-query traversal loop with
+# fresh per-stage searches (BENCH_search.json frontend
+# ``canonical_sequential_fresh``); recorded, no longer re-measurable.
+RECORDED_CANONICAL_SEQUENTIAL_FRONTEND_S = 20.893
+# Regression-guard slack: a guarded ratio may move 50% the wrong way
+# relative to its recorded baseline before the guard fails — above
+# observed run-to-run ratio noise (~1.3x on a loaded host), far below
+# the margins the guards protect.
 FLOOR_SLACK = 1.5
 NORMAL_RADIUS = 0.5
 FEATURE_RADIUS = 1.0
@@ -138,51 +142,6 @@ def reuse_disabled():
         pipeline_mod._planned_reuse_radius = saved
 
 
-@contextlib.contextmanager
-def canonical_sequential_patched():
-    """Pin the canonical tree's pre-rebuild batch path (per-query loop).
-
-    The CSR entry point is pinned too — to the sequential list loop
-    plus a ``from_lists`` repack, the exact shape of the pre-rebuild
-    data path — so the consumers' ``radius_batch_csr`` calls also hit
-    the baseline schedule.
-    """
-    saved = (
-        KDTree.nn_batch,
-        KDTree.knn_batch,
-        KDTree.radius_batch,
-        KDTree.radius_batch_csr,
-    )
-
-    def nn_batch(self, queries, stats=None, sequential=False):
-        return saved[0](self, queries, stats, sequential=True)
-
-    def knn_batch(self, queries, k, stats=None, sequential=False):
-        return saved[1](self, queries, k, stats, sequential=True)
-
-    def radius_batch(self, queries, r, stats=None, sort=False, sequential=False):
-        return saved[2](self, queries, r, stats, sort=sort, sequential=True)
-
-    def radius_batch_csr(self, queries, r, stats=None, sort=False):
-        return RaggedNeighborhoods.from_lists(
-            *saved[2](self, queries, r, stats, sort=sort, sequential=True)
-        )
-
-    KDTree.nn_batch = nn_batch
-    KDTree.knn_batch = knn_batch
-    KDTree.radius_batch = radius_batch
-    KDTree.radius_batch_csr = radius_batch_csr
-    try:
-        yield
-    finally:
-        (
-            KDTree.nn_batch,
-            KDTree.knn_batch,
-            KDTree.radius_batch,
-            KDTree.radius_batch_csr,
-        ) = saved
-
-
 # ----------------------------------------------------------------------
 # Search-only per-backend table.
 # ----------------------------------------------------------------------
@@ -193,72 +152,45 @@ def bench_search_only(points: np.ndarray, repeats: int) -> dict:
     nn_queries = points + rng.normal(scale=0.05, size=points.shape)
     rows: dict[str, dict] = {}
 
-    def record(name, build_fn, searcher_of, seq_repeats=None, csr=True, exact=True):
+    def record(name, build_fn, exact=True):
         start = time.perf_counter()
-        index = build_fn()
+        searcher = build_fn()
         build_s = time.perf_counter() - start
-        searcher = searcher_of(index)
-        reps = seq_repeats or repeats
         row = {
             "build_s": round(build_s, 4),
             "radius05_s": round(
-                timed(lambda: searcher.radius_batch(points, NORMAL_RADIUS), reps), 4
+                timed(lambda: searcher.radius_batch(points, NORMAL_RADIUS), repeats), 4
             ),
             "radius10_s": round(
-                timed(lambda: searcher.radius_batch(points, FEATURE_RADIUS), reps), 4
+                timed(lambda: searcher.radius_batch(points, FEATURE_RADIUS), repeats), 4
             ),
-            "nn_s": round(timed(lambda: searcher.nn_batch(nn_queries), reps), 4),
+            "nn_s": round(timed(lambda: searcher.nn_batch(nn_queries), repeats), 4),
         }
-        if csr:
-            if exact:
-                # The zero-copy contract: CSR delivery must be
-                # bit-identical to the list delivery it replaces.
-                ref = RaggedNeighborhoods.from_lists(
-                    *searcher.radius_batch(points, FEATURE_RADIUS)
-                )
-                got = searcher.radius_batch_csr(points, FEATURE_RADIUS)
-                assert np.array_equal(got.indices, ref.indices), name
-                assert np.array_equal(got.offsets, ref.offsets), name
-                assert np.array_equal(got.distances, ref.distances), name
-            row["radius10_csr_s"] = round(
-                timed(
-                    lambda: searcher.radius_batch_csr(points, FEATURE_RADIUS), reps
-                ),
-                4,
+        if exact:
+            # The zero-copy contract: CSR delivery must be bit-identical
+            # to the list delivery.
+            ref = RaggedNeighborhoods.from_lists(
+                *searcher.radius_batch(points, FEATURE_RADIUS)
             )
-            row["csr_speedup"] = round(row["radius10_s"] / row["radius10_csr_s"], 2)
+            got = searcher.radius_batch_csr(points, FEATURE_RADIUS)
+            assert np.array_equal(got.indices, ref.indices), name
+            assert np.array_equal(got.offsets, ref.offsets), name
+            assert np.array_equal(got.distances, ref.distances), name
+        row["radius10_csr_s"] = round(
+            timed(lambda: searcher.radius_batch_csr(points, FEATURE_RADIUS), repeats),
+            4,
+        )
+        row["csr_speedup"] = round(row["radius10_s"] / row["radius10_csr_s"], 2)
         rows[name] = row
-
-    class _Sequential:
-        """The canonical tree's pre-rebuild batch entry points."""
-
-        def __init__(self, tree):
-            self._tree = tree
-
-        def radius_batch(self, queries, r):
-            return self._tree.radius_batch(queries, r, sequential=True)
-
-        def nn_batch(self, queries):
-            return self._tree.nn_batch(queries, sequential=True)
 
     for backend in BACKENDS:
         record(
             backend,
             lambda b=backend: build_searcher(points, SearchConfig(backend=b)),
-            lambda s: s,
             # The approximate backend's leader state is order-dependent,
             # so cross-path bit-parity is not part of its contract.
             exact=(backend != "approximate"),
         )
-    # The pre-rebuild canonical batch path, one repeat (it is the slow
-    # baseline this PR removes; minutes-scale at higher repeat counts).
-    record(
-        "canonical-sequential",
-        lambda: KDTree(points),
-        _Sequential,
-        seq_repeats=1,
-        csr=False,
-    )
     return rows
 
 
@@ -283,7 +215,7 @@ def frontend_pipeline(backend: str) -> Pipeline:
     )
 
 
-def bench_frontend(cloud, repeats: int, include_sequential: bool) -> dict:
+def bench_frontend(cloud, repeats: int) -> dict:
     def preprocess(backend):
         return frontend_pipeline(backend).preprocess(cloud, with_features=True)
 
@@ -300,7 +232,6 @@ def bench_frontend(cloud, repeats: int, include_sequential: bool) -> dict:
         )
 
     variants: dict[str, float] = {}
-    canonical_fresh_state = None
     # Bit-identity is a per-backend contract (backends agree on index
     # order, but distances — hence FPFH bins — only to the last ulp):
     # each backend's reuse path is checked against its own fresh path
@@ -317,21 +248,6 @@ def bench_frontend(cloud, repeats: int, include_sequential: bool) -> dict:
         variants[f"{backend}_reuse"] = round(
             timed(lambda b=backend: preprocess(b), repeats), 3
         )
-        if backend == "canonical":
-            canonical_fresh_state = fresh
-    if include_sequential:
-        # The post-PR-5 canonical front end: per-query batch loop and
-        # fresh per-stage searches.  One repeat — this is the slow
-        # baseline the acceptance criterion is measured against.
-        with canonical_sequential_patched(), reuse_disabled():
-            check(
-                preprocess("canonical"),
-                canonical_fresh_state,
-                "canonical sequential",
-            )
-            variants["canonical_sequential_fresh"] = round(
-                timed(lambda: preprocess("canonical"), 1), 3
-            )
     return variants
 
 
@@ -427,9 +343,6 @@ def format_table(search_only: dict, frontend: dict, streaming: dict) -> str:
     lines += ["", "Front end (preprocess: normals + Harris + FPFH), seconds"]
     for name, t in frontend.items():
         lines.append(f"  {name:<28}{t:>8.3f}s")
-    if "canonical_sequential_fresh" in frontend:
-        speedup = frontend["canonical_sequential_fresh"] / frontend["canonical_reuse"]
-        lines.append(f"  canonical before/after: {speedup:.1f}x")
     lines += ["", "Streaming odometry, seconds per pair (fresh -> reuse)"]
     for name in ("uniform", "harris", "dense_harris"):
         if name not in streaming:
@@ -451,37 +364,36 @@ def write_results_table(text: str) -> None:
 
 
 def check_floors(search_only: dict, stored_path: str) -> list[str]:
-    """Regression guard: the structural speedups this module records are
-    within-run ratios (both sides measured on the same cloud in the
-    same process), so they transfer across machines and cloud sizes
-    where absolute seconds do not.  Each guarded ratio may lose 50%
-    relative to the recorded baseline before the guard fails."""
+    """Regression guard over within-run ratios (both sides measured on
+    the same cloud in the same process), which transfer across machines
+    and cloud sizes where absolute seconds do not.  A guarded speedup
+    may lose 50% and a guarded slowdown ratio may grow 50% relative to
+    the recorded baseline before the guard fails."""
     with open(stored_path, encoding="utf-8") as f:
         stored = json.load(f)["search_only"]
 
-    def frontier_speedup(rows):
-        return rows["canonical-sequential"]["radius10_s"] / rows["canonical"][
-            "radius10_s"
-        ]
+    def canonical_over_twostage(rows):
+        return rows["canonical"]["radius10_s"] / rows["twostage"]["radius10_s"]
 
-    checks = {
-        "canonical frontier sweep (sequential/frontier radius@1.0)": (
-            frontier_speedup(search_only),
-            frontier_speedup(stored),
-        ),
-        "twostage CSR delivery (list/CSR radius@1.0)": (
-            search_only["twostage"]["csr_speedup"],
-            stored["twostage"]["csr_speedup"],
-        ),
-    }
     failures = []
-    for name, (measured, recorded) in checks.items():
-        floor = recorded / FLOOR_SLACK
-        if measured < floor:
-            failures.append(
-                f"{name}: measured {measured:.2f}x < floor {floor:.2f}x "
-                f"(recorded {recorded:.2f}x with 50% slack)"
-            )
+    name = "twostage CSR delivery (list/CSR radius@1.0)"
+    measured = search_only["twostage"]["csr_speedup"]
+    recorded = stored["twostage"]["csr_speedup"]
+    floor = recorded / FLOOR_SLACK
+    if measured < floor:
+        failures.append(
+            f"{name}: measured {measured:.2f}x < floor {floor:.2f}x "
+            f"(recorded {recorded:.2f}x with 50% slack)"
+        )
+    name = "canonical frontier sweep (canonical/twostage radius@1.0)"
+    measured = canonical_over_twostage(search_only)
+    recorded = canonical_over_twostage(stored)
+    ceiling = recorded * FLOOR_SLACK
+    if measured > ceiling:
+        failures.append(
+            f"{name}: measured {measured:.2f}x > ceiling {ceiling:.2f}x "
+            f"(recorded {recorded:.2f}x with 50% slack)"
+        )
     return failures
 
 
@@ -525,7 +437,7 @@ def main() -> int:
         # 3 repeats (min-of): the guarded ratios divide ~20 ms timings,
         # which need the min-filter to be stable enough for the floors.
         search_only = bench_search_only(cloud.points, repeats=3)
-        frontend = bench_frontend(cloud, repeats=1, include_sequential=True)
+        frontend = bench_frontend(cloud, repeats=1)
         streaming = bench_streaming(repeats=1, n_frames=3, dense=False)
         table = format_table(search_only, frontend, streaming)
         print(table)
@@ -554,14 +466,14 @@ def main() -> int:
     if args.trace:
         trace_frontend(cloud, args.trace)
     search_only = bench_search_only(frontend_points, repeats=args.repeats)
-    frontend = bench_frontend(cloud, repeats=args.repeats, include_sequential=True)
+    frontend = bench_frontend(cloud, repeats=args.repeats)
     streaming = bench_streaming(repeats=args.repeats)
     table = format_table(search_only, frontend, streaming)
     print(table)
     write_results_table(table)
 
     canonical_speedup = round(
-        frontend["canonical_sequential_fresh"] / frontend["canonical_reuse"], 2
+        RECORDED_CANONICAL_SEQUENTIAL_FRONTEND_S / frontend["canonical_reuse"], 2
     )
     dense_stream = streaming["dense_harris"]
     payload = {
@@ -572,12 +484,12 @@ def main() -> int:
         "feature_radius": FEATURE_RADIUS,
         "repeats": args.repeats,
         "note": (
-            "search_only: batched search on the front-end cloud; "
-            "canonical-sequential is the pre-rebuild per-query batch "
-            "loop (1 repeat). frontend: live preprocess (voxel + "
-            "normals + Harris + FPFH) per backend, nested-radius reuse "
-            "on vs forced off; canonical_sequential_fresh is the "
-            "post-PR-5 canonical path the acceptance compares against. "
+            "search_only: batched search on the front-end cloud. "
+            "frontend: live preprocess (voxel + normals + Harris + "
+            "FPFH) per backend, nested-radius reuse on vs forced off; "
+            "the canonical acceptance compares against the recorded "
+            f"per-query-loop front end "
+            f"({RECORDED_CANONICAL_SEQUENTIAL_FRONTEND_S}s). "
             "streaming: per-pair odometry, reuse on vs off, baselines "
             "re-measured in this run (stored absolute numbers such as "
             "BENCH_frontend.json's 0.19 s/pair do not transfer across "
@@ -594,8 +506,9 @@ def main() -> int:
     payload["acceptance"] = {
         "criterion": (
             "canonical-tree front end (search+aggregation) >= "
-            f"{ACCEPT_CANONICAL_SPEEDUP}x over its post-PR-5 sequential "
-            "path on the 53k-point bench frame; twostage CSR-native "
+            f"{ACCEPT_CANONICAL_SPEEDUP}x over its recorded per-query-loop "
+            f"front end ({RECORDED_CANONICAL_SEQUENTIAL_FRONTEND_S}s) on "
+            "the 53k-point bench frame; twostage CSR-native "
             f"radius@1.0 >= {ACCEPT_CSR_SPEEDUP}x over the recorded "
             f"pre-CSR fill+convert baseline ({PR6_TWOSTAGE_RADIUS10_S}s) "
             "with bit-identity to the list path asserted before timing; "

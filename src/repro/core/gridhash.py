@@ -10,7 +10,7 @@ own (its Chebyshev-1 neighborhood) and scans their members.
 
 Approximation contract (pinned by tests/registration/test_gridhash.py):
 
-* ``radius``/``radius_batch`` probe the fixed 3^d neighborhood, so the
+* ``radius_batch_csr`` probes the fixed 3^d neighborhood, so the
   result is **exact** (bit-identical to brute force, same ascending-
   index order and tie rules as every exact backend) whenever
   ``r <= cell_size`` and no candidate cap triggers.  For larger radii
@@ -35,8 +35,7 @@ Approximation contract (pinned by tests/registration/test_gridhash.py):
 Work accounting: ``traversal_steps`` counts cell probes (the hash
 lookups an accelerator address unit would issue), ``nodes_visited``
 counts candidate distance computations, matching the "nodes visited"
-unit of Fig. 6.  All schedules are deterministic, so batched calls
-charge bit-identical counters to a scalar loop.
+unit of Fig. 6.  All schedules are deterministic.
 """
 
 from __future__ import annotations
@@ -177,22 +176,8 @@ class GridHashIndex:
         return queries
 
     # ------------------------------------------------------------------
-    # Radius search (batch-first; scalar delegates to a 1-row batch)
+    # Radius search
     # ------------------------------------------------------------------
-
-    def radius_batch(
-        self,
-        queries: np.ndarray,
-        r: float,
-        stats: SearchStats | None = None,
-        sort: bool = False,
-    ) -> tuple[list[np.ndarray], list[np.ndarray]]:
-        """Radius search for every row of ``queries`` (ragged lists).
-
-        Thin compatibility wrapper: slices :meth:`radius_batch_csr`'s
-        flat result into per-query lists.
-        """
-        return self.radius_batch_csr(queries, r, stats, sort=sort).to_list_pair()
 
     def radius_batch_csr(
         self,
@@ -289,19 +274,6 @@ class GridHashIndex:
             stats.queries += n_queries
             stats.results_returned += len(kept_cand)
         return RaggedNeighborhoods(kept_cand, offsets, kept_dist)
-
-    def radius(
-        self,
-        query: np.ndarray,
-        r: float,
-        stats: SearchStats | None = None,
-        sort: bool = False,
-    ) -> tuple[np.ndarray, np.ndarray]:
-        """All probed neighbors within ``r``: (indices, distances)."""
-        idx_lists, dist_lists = self.radius_batch(
-            np.atleast_2d(query), r, stats, sort=sort
-        )
-        return idx_lists[0], dist_lists[0]
 
     # ------------------------------------------------------------------
     # nn / knn: expanding Chebyshev rings (always exact)

@@ -100,9 +100,21 @@ def read_pcd(path: str | os.PathLike) -> PointCloud:
     expected = int(header["POINTS"][0])
     if expected == 0:
         return PointCloud(np.empty((0, 3)))
-    raw = np.array(
-        [[float(v) for v in line.split()] for line in data_lines], dtype=np.float64
-    )
+    raw = np.empty((len(data_lines), len(fields)), dtype=np.float64)
+    for row, line in enumerate(data_lines):
+        values = line.split()
+        if len(values) != len(fields):
+            raise ValueError(
+                f"PCD data line {row + 1}: expected {len(fields)} fields "
+                f"({' '.join(fields)}), got {len(values)}"
+            )
+        try:
+            raw[row] = [float(v) for v in values]
+        except ValueError:
+            raise ValueError(
+                f"PCD data line {row + 1}: expected {len(fields)} numeric "
+                f"fields, got {line!r}"
+            ) from None
     if raw.shape != (expected, len(fields)):
         raise ValueError(
             f"PCD data shape {raw.shape} does not match header "

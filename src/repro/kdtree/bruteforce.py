@@ -9,7 +9,7 @@ Batch queries
 -------------
 :func:`sq_distances` is the shared squared-distance kernel behind the
 batched entry points (:func:`nn_batch`, :func:`knn_batch`,
-:func:`radius_batch`).  It accumulates one coordinate at a time with
+:func:`radius_batch_csr`).  It accumulates one coordinate at a time with
 elementwise ufuncs, so every output element is produced by the same
 sequence of IEEE operations no matter how many queries share the batch —
 the property that makes batched results *bit-identical* to per-query
@@ -26,7 +26,7 @@ from __future__ import annotations
 
 import numpy as np
 
-from repro.core.ragged import RaggedNeighborhoods, segment_sort_order
+from repro.core.ragged import RaggedNeighborhoods
 
 __all__ = [
     "nn",
@@ -34,7 +34,6 @@ __all__ = [
     "radius",
     "nn_batch",
     "knn_batch",
-    "radius_batch",
     "radius_batch_csr",
     "pairwise_sq_distances",
     "sq_distances",
@@ -307,19 +306,3 @@ def radius_batch_csr(
         result = result.sorted_by_distance()
     return result
 
-
-def radius_batch(
-    points: np.ndarray,
-    queries: np.ndarray,
-    r: float,
-    sort: bool = False,
-    points_t: np.ndarray | None = None,
-) -> tuple[list[np.ndarray], list[np.ndarray]]:
-    """Vectorized radius search for every row of ``queries``.
-
-    Thin compatibility wrapper over :func:`radius_batch_csr`: returns
-    ragged per-query (indices, distances) lists sliced from the CSR
-    result; indices come back ascending (``sort=True`` re-orders by
-    distance, stable).
-    """
-    return radius_batch_csr(points, queries, r, sort=sort, points_t=points_t).to_list_pair()

@@ -18,6 +18,11 @@ from hypothesis import strategies as st
 from repro.core.gridhash import GridHashConfig, GridHashIndex
 from repro.kdtree import bruteforce
 from repro.kdtree.stats import SearchStats
+from tests.single_query import radius, radius_lists
+
+
+def radius_lists_bf(points, queries, r, sort=False):
+    return bruteforce.radius_batch_csr(points, queries, r, sort=sort).to_list_pair()
 
 
 def make_cloud(seed: int, n: int = 300, scale: float = 4.0) -> np.ndarray:
@@ -43,8 +48,8 @@ class TestExactMatchContract:
         queries = make_queries(seed, points)
         index = GridHashIndex(points, GridHashConfig(cell_size=1.0))
         for sort in (False, True):
-            gi, gd = index.radius_batch(queries, r, sort=sort)
-            bi, bd = bruteforce.radius_batch(points, queries, r, sort=sort)
+            gi, gd = radius_lists(index, queries, r, sort=sort)
+            bi, bd = radius_lists_bf(points, queries, r, sort=sort)
             for a, b, c, d in zip(gi, bi, gd, bd):
                 assert np.array_equal(a, b)
                 assert np.array_equal(c, d)
@@ -57,8 +62,8 @@ class TestExactMatchContract:
         points = make_cloud(seed)
         queries = make_queries(seed, points)
         index = GridHashIndex(points, GridHashConfig(cell_size=0.5))
-        gi, gd = index.radius_batch(queries, 1.4)
-        bi, bd = bruteforce.radius_batch(points, queries, 1.4)
+        gi, gd = radius_lists(index, queries, 1.4)
+        bi, bd = radius_lists_bf(points, queries, 1.4)
         missed = 0
         for a, b, c, d in zip(gi, bi, gd, bd):
             keep = np.isin(b, a)
@@ -112,9 +117,9 @@ class TestCandidateCap:
         index = GridHashIndex(
             points, GridHashConfig(cell_size=1.0, max_candidates=cap)
         )
-        big_i, big_d = index.radius_batch(queries, 1.0)
+        big_i, big_d = radius_lists(index, queries, 1.0)
         for r in (0.0, 0.3, 0.8):
-            small_i, small_d = index.radius_batch(queries, r)
+            small_i, small_d = radius_lists(index, queries, r)
             for si, sd, bi, bd in zip(small_i, small_d, big_i, big_d):
                 keep = bd <= r
                 assert np.array_equal(si, bi[keep])
@@ -126,8 +131,8 @@ class TestCandidateCap:
         capped = GridHashIndex(points, GridHashConfig(1.0, max_candidates=5))
         free = GridHashIndex(points, GridHashConfig(1.0))
         s_cap, s_free = SearchStats(), SearchStats()
-        ci, _ = capped.radius_batch(queries, 1.0, s_cap)
-        fi, _ = free.radius_batch(queries, 1.0, s_free)
+        ci, _ = radius_lists(capped, queries, 1.0, s_cap)
+        fi, _ = radius_lists(free, queries, 1.0, s_free)
         assert s_cap.nodes_visited <= 5 * len(queries)
         assert s_cap.nodes_visited < s_free.nodes_visited
         for a, b in zip(ci, fi):
@@ -150,16 +155,16 @@ class TestStatsAndStructure:
         queries = make_queries(6, points, n=30)
         index = GridHashIndex(points, GridHashConfig(cell_size=0.8))
         s_batch, s_loop = SearchStats(), SearchStats()
-        index.radius_batch(queries, 0.8, s_batch)
+        radius_lists(index, queries, 0.8, s_batch)
         for q in queries:
-            index.radius(q, 0.8, s_loop)
+            radius(index, q, 0.8, s_loop)
         assert s_batch == s_loop
 
     def test_counters_count_probes_and_distances(self):
         points = make_cloud(7)
         index = GridHashIndex(points, GridHashConfig(cell_size=1.0))
         stats = SearchStats()
-        idx_lists, _ = index.radius_batch(points[:10], 1.0, stats)
+        idx_lists, _ = radius_lists(index, points[:10], 1.0, stats)
         assert stats.queries == 10
         assert stats.traversal_steps == 10 * 27  # 3^3 probes per query
         assert stats.nodes_visited > 0
@@ -176,7 +181,7 @@ class TestStatsAndStructure:
         with pytest.raises(ValueError):
             GridHashConfig(cell_size=1.0, max_candidates=0)
         with pytest.raises(ValueError):
-            index.radius(points[0], -1.0)
+            radius(index, points[0], -1.0)
         with pytest.raises(ValueError):
             index.knn(points[0], 0)
         with pytest.raises(ValueError):

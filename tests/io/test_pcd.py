@@ -81,6 +81,26 @@ class TestRobustness:
         with pytest.raises(ValueError, match="does not match"):
             read_pcd(path)
 
+    def test_rejects_short_data_row(self, tmp_path):
+        path = tmp_path / "ragged.pcd"
+        path.write_text(
+            "VERSION 0.7\nFIELDS x y z\nSIZE 4 4 4\nTYPE F F F\nCOUNT 1 1 1\n"
+            "WIDTH 2\nHEIGHT 1\nVIEWPOINT 0 0 0 1 0 0 0\nPOINTS 2\n"
+            "DATA ascii\n1 2 3\n4 5\n"
+        )
+        with pytest.raises(ValueError, match="data line 2: expected 3 fields"):
+            read_pcd(path)
+
+    def test_rejects_non_numeric_data(self, tmp_path):
+        path = tmp_path / "text.pcd"
+        path.write_text(
+            "VERSION 0.7\nFIELDS x y z\nSIZE 4 4 4\nTYPE F F F\nCOUNT 1 1 1\n"
+            "WIDTH 2\nHEIGHT 1\nVIEWPOINT 0 0 0 1 0 0 0\nPOINTS 2\n"
+            "DATA ascii\n1 2 3\n4 five 6\n"
+        )
+        with pytest.raises(ValueError, match="data line 2: expected 3 numeric"):
+            read_pcd(path)
+
     def test_rejects_malformed_header(self, tmp_path):
         path = tmp_path / "bad.pcd"
         path.write_text("VERSION 0.7\nNOT_A_KEY something\n")

@@ -11,6 +11,7 @@ import pytest
 
 from repro.core import TwoStageKDTree
 from repro.kdtree import KDTree, SearchStats, bruteforce
+from tests.single_query import knn, nn
 
 
 @pytest.fixture(scope="module")
@@ -29,7 +30,7 @@ class TestCorrectness:
         tree = KDTree(features)
         rng = np.random.default_rng(1)
         for query in rng.normal(size=(10, dim)):
-            idx, dist = tree.nn(query)
+            idx, dist = nn(tree, query)
             bf_idx, bf_dist = bruteforce.nn(features, query)
             assert idx == bf_idx
             assert dist == pytest.approx(bf_dist)
@@ -39,7 +40,7 @@ class TestCorrectness:
         features = feature_sets[dim]
         tree = KDTree(features)
         query = np.random.default_rng(2).normal(size=dim)
-        _, dists = tree.knn(query, 5)
+        _, dists = knn(tree, query, 5)
         _, bf_dists = bruteforce.knn(features, query, 5)
         assert np.allclose(dists, bf_dists)
 
@@ -54,7 +55,7 @@ class TestCorrectness:
     def test_query_on_feature_returns_itself(self, feature_sets):
         features = feature_sets[33]
         tree = KDTree(features)
-        idx, dist = tree.nn(features[7])
+        idx, dist = nn(tree, features[7])
         assert idx == 7
         assert dist == pytest.approx(0.0, abs=1e-12)
 
@@ -71,7 +72,7 @@ class TestDegradation:
             tree = KDTree(points)
             stats = SearchStats()
             for query in rng.normal(size=(10, dim)):
-                tree.nn(query, stats)
+                nn(tree, query, stats)
             return stats.nodes_visited / stats.queries
 
         low = visits(3)

@@ -7,6 +7,7 @@ from hypothesis import strategies as st
 from hypothesis.extra import numpy as hnp
 
 from repro.kdtree import KDTree, SearchStats, bruteforce
+from tests.single_query import knn, nn, radius
 
 # Clouds: 1-60 points in 1-5 dimensions, moderate magnitudes, possibly
 # with duplicate coordinates (floats from a coarse grid encourage ties).
@@ -32,7 +33,7 @@ def test_nn_matches_bruteforce(data):
     points, queries, split_rule = data
     tree = KDTree(points, split_rule=split_rule)
     for query in queries:
-        idx, dist = tree.nn(query)
+        idx, dist = nn(tree, query)
         _, bf_dist = bruteforce.nn(points, query)
         # Ties on distance may legitimately return different indices.
         assert np.isclose(dist, bf_dist, atol=1e-9)
@@ -44,20 +45,20 @@ def test_knn_matches_bruteforce(data, k):
     points, queries, split_rule = data
     tree = KDTree(points, split_rule=split_rule)
     for query in queries:
-        _, dists = tree.knn(query, k)
+        _, dists = knn(tree, query, k)
         _, bf_dists = bruteforce.knn(points, query, k)
         assert np.allclose(dists, bf_dists, atol=1e-9)
 
 
-@given(data=cloud_and_queries(), radius=st.floats(0.0, 30.0, allow_nan=False))
-def test_radius_matches_bruteforce(data, radius):
+@given(data=cloud_and_queries(), r=st.floats(0.0, 30.0, allow_nan=False))
+def test_radius_matches_bruteforce(data, r):
     points, queries, split_rule = data
     tree = KDTree(points, split_rule=split_rule)
     for query in queries:
-        indices, dists = tree.radius(query, radius)
-        bf_indices, _ = bruteforce.radius(points, query, radius)
+        indices, dists = radius(tree, query, r)
+        bf_indices, _ = bruteforce.radius(points, query, r)
         assert set(indices.tolist()) == set(bf_indices.tolist())
-        assert np.all(dists <= radius + 1e-12)
+        assert np.all(dists <= r + 1e-12)
 
 
 @given(data=cloud_and_queries())
@@ -66,8 +67,8 @@ def test_knn_is_prefix_consistent(data):
     points, queries, split_rule = data
     tree = KDTree(points, split_rule=split_rule)
     for query in queries:
-        _, d3 = tree.knn(query, 3)
-        _, d5 = tree.knn(query, 5)
+        _, d3 = knn(tree, query, 3)
+        _, d5 = knn(tree, query, 5)
         assert np.allclose(d5[: len(d3)], d3, atol=1e-12)
 
 
@@ -78,7 +79,7 @@ def test_stats_conservation(data):
     tree = KDTree(points, split_rule=split_rule)
     stats = SearchStats()
     for query in queries:
-        tree.nn(query, stats)
+        nn(tree, query, stats)
     assert stats.queries == len(queries)
     assert stats.nodes_visited <= len(queries) * tree.n
     assert stats.traversal_steps >= stats.nodes_visited
@@ -91,6 +92,6 @@ def test_radius_of_nn_dist_includes_nn(data):
     points, queries, split_rule = data
     tree = KDTree(points, split_rule=split_rule)
     for query in queries:
-        idx, dist = tree.nn(query)
-        indices, _ = tree.radius(query, dist + 1e-9)
+        idx, dist = nn(tree, query)
+        indices, _ = radius(tree, query, dist + 1e-9)
         assert idx in indices

@@ -1,9 +1,15 @@
-"""Batch/scalar parity: batched queries must be bit-identical to
-per-query calls on every backend, with and without error injectors.
+"""Batch composition: a batch must be bit-identical to the same queries
+issued one row at a time, on every backend, with and without error
+injectors.
 
-These are the acceptance tests of the batch query layer: no tolerance
-comparisons — indices and distances must match exactly, including tie
-cases manufactured through duplicated points.
+Every search is a batch, and ``NeighborSearcher.nn``/``knn``/``radius``
+are batches of one row, so these tests pin that a result does not
+depend on which other queries share its batch — including for the
+approximate backend, whose leader state carries from query to query.
+No tolerance comparisons: indices and distances must match exactly,
+including tie cases manufactured through duplicated points.
+Correctness against an independent oracle is checked in
+``test_oracle_parity.py``.
 """
 
 import numpy as np
@@ -17,7 +23,7 @@ from repro.registration.error_injection import (
     KthNeighborInjector,
     ShellRadiusInjector,
 )
-from repro.registration.search import NeighborSearcher, SearchConfig, build_searcher
+from repro.registration.search import SearchConfig, build_searcher
 
 BACKENDS = ("canonical", "twostage", "approximate", "bruteforce", "gridhash")
 
@@ -27,7 +33,7 @@ def make_cloud(seed: int, n: int, duplicates: bool = False) -> np.ndarray:
     points = rng.normal(size=(n, 3)) * 3.0
     if duplicates:
         # Exact duplicates manufacture distance ties; the deterministic
-        # tie rules must agree between scalar and batch paths.
+        # tie rules must agree however the queries are batched.
         points = np.vstack([points, points[:: max(1, n // 7)]])
     return points
 
@@ -42,11 +48,11 @@ def make_queries(seed: int, points: np.ndarray, n_queries: int) -> np.ndarray:
 
 def pair_of_searchers(points, backend, injector=None):
     """Two independently built searchers (fresh approximate leader state
-    each) so the scalar loop and the batch see identical start states."""
+    each) so the one-row loop and the batch see identical start states."""
     config = SearchConfig(backend=backend, leaf_size=16)
-    scalar = build_searcher(points, config, injector=injector)
+    one_row = build_searcher(points, config, injector=injector)
     batched = build_searcher(points, config, injector=injector)
-    return scalar, batched
+    return one_row, batched
 
 
 @pytest.mark.parametrize("backend", BACKENDS)
@@ -55,8 +61,8 @@ def pair_of_searchers(points, backend, injector=None):
 def test_nn_batch_parity(backend, seed, duplicates):
     points = make_cloud(seed, 60, duplicates)
     queries = make_queries(seed, points, 20)
-    scalar, batched = pair_of_searchers(points, backend)
-    expected = [scalar.nn(q) for q in queries]
+    one_row, batched = pair_of_searchers(points, backend)
+    expected = [one_row.nn(q) for q in queries]
     indices, dists = batched.nn_batch(queries)
     assert np.array_equal(indices, np.array([e[0] for e in expected]))
     assert np.array_equal(dists, np.array([e[1] for e in expected]))
@@ -73,11 +79,11 @@ def test_knn_batch_parity(backend, seed, k, duplicates):
     """Includes k > n: results are rectangular (Q, min(k, n))."""
     points = make_cloud(seed, 50, duplicates)
     queries = make_queries(seed, points, 12)
-    scalar, batched = pair_of_searchers(points, backend)
+    one_row, batched = pair_of_searchers(points, backend)
     indices, dists = batched.knn_batch(queries, k)
     assert indices.shape == dists.shape == (len(queries), min(k, len(points)))
     for i, q in enumerate(queries):
-        row_idx, row_dist = scalar.knn(q, k)
+        row_idx, row_dist = one_row.knn(q, k)
         # The approximate backend pads short rows with (-1, inf).
         assert np.array_equal(indices[i, : len(row_idx)], row_idx)
         assert np.array_equal(dists[i, : len(row_dist)], row_dist)
@@ -97,11 +103,11 @@ def test_radius_batch_parity(backend, seed, r, sort, duplicates):
     """Includes r=0 and tiny r (empty result sets) and huge r (all)."""
     points = make_cloud(seed, 60, duplicates)
     queries = make_queries(seed, points, 15)
-    scalar, batched = pair_of_searchers(points, backend)
+    one_row, batched = pair_of_searchers(points, backend)
     all_indices, all_dists = batched.radius_batch(queries, r, sort=sort)
     assert len(all_indices) == len(all_dists) == len(queries)
     for i, q in enumerate(queries):
-        row_idx, row_dist = scalar.radius(q, r, sort=sort)
+        row_idx, row_dist = one_row.radius(q, r, sort=sort)
         assert np.array_equal(all_indices[i], row_idx)
         assert np.array_equal(all_dists[i], row_dist)
 
@@ -119,53 +125,26 @@ def test_radius_batch_parity(backend, seed, r, sort, duplicates):
 def test_injected_batch_parity(backend, injector):
     points = make_cloud(7, 70)
     queries = make_queries(7, points, 18)
-    scalar, batched = pair_of_searchers(points, backend, injector=injector)
+    one_row, batched = pair_of_searchers(points, backend, injector=injector)
 
-    expected = [scalar.nn(q) for q in queries]
+    expected = [one_row.nn(q) for q in queries]
     indices, dists = batched.nn_batch(queries)
     assert np.array_equal(indices, np.array([e[0] for e in expected]))
     assert np.array_equal(dists, np.array([e[1] for e in expected]))
 
-    scalar, batched = pair_of_searchers(points, backend, injector=injector)
+    one_row, batched = pair_of_searchers(points, backend, injector=injector)
     all_indices, all_dists = batched.radius_batch(queries, 0.9)
     for i, q in enumerate(queries):
-        row_idx, row_dist = scalar.radius(q, 0.9)
+        row_idx, row_dist = one_row.radius(q, 0.9)
         assert np.array_equal(all_indices[i], row_idx)
         assert np.array_equal(all_dists[i], row_dist)
 
-    scalar, batched = pair_of_searchers(points, backend, injector=injector)
+    one_row, batched = pair_of_searchers(points, backend, injector=injector)
     indices, dists = batched.knn_batch(queries, 4)
     for i, q in enumerate(queries):
-        row_idx, row_dist = scalar.knn(q, 4)
+        row_idx, row_dist = one_row.knn(q, 4)
         assert np.array_equal(indices[i, : len(row_idx)], row_idx)
         assert np.array_equal(dists[i, : len(row_dist)], row_dist)
-
-
-def test_scalar_injector_fallback():
-    """Third-party injectors without batch hooks fall back to a loop."""
-
-    class ScalarOnlyInjector:
-        def nn(self, index, query, stats):
-            return index.nn(query, stats)
-
-        def knn(self, index, query, k, stats):
-            return index.knn(query, k, stats)
-
-        def radius(self, index, query, r, stats, sort=False):
-            return index.radius(query, r, stats, sort=sort)
-
-    points = make_cloud(3, 40)
-    queries = make_queries(3, points, 10)
-    plain = build_searcher(points, SearchConfig(backend="twostage"))
-    wrapped = build_searcher(
-        points, SearchConfig(backend="twostage"), injector=ScalarOnlyInjector()
-    )
-    for (a, b), (c, d) in [
-        (plain.nn_batch(queries), wrapped.nn_batch(queries)),
-        (plain.knn_batch(queries, 3), wrapped.knn_batch(queries, 3)),
-    ]:
-        assert np.array_equal(np.asarray(a), np.asarray(c))
-        assert np.array_equal(np.asarray(b), np.asarray(d))
 
 
 @pytest.mark.parametrize("backend", BACKENDS)
@@ -188,18 +167,18 @@ def test_batch_stats_per_query_counters(backend):
 
 @pytest.mark.parametrize("backend", BACKENDS)
 def test_radius_stats_match_scalar(backend):
-    """Radius batch work counters equal the scalar loop's exactly (the
-    pruning decisions are query-independent)."""
+    """Radius batch work counters equal those of one-row batches exactly
+    (the pruning decisions do not depend on what a query has found)."""
     if backend == "approximate":
-        pytest.skip("leader state makes scalar-loop stats the definition")
+        pytest.skip("leader state makes one-row-loop stats the definition")
     points = make_cloud(13, 90)
     queries = make_queries(13, points, 20)
     config = SearchConfig(backend=backend, leaf_size=16)
     s1, s2 = SearchStats(), SearchStats()
-    scalar = build_searcher(points, config, stats=s1)
+    one_row = build_searcher(points, config, stats=s1)
     batched = build_searcher(points, config, stats=s2)
     for q in queries:
-        scalar.radius(q, 0.7)
+        one_row.radius(q, 0.7)
     batched.radius_batch(queries, 0.7)
     assert (s1.nodes_visited, s1.traversal_steps, s1.pruned_subtrees) == (
         s2.nodes_visited,
@@ -209,13 +188,13 @@ def test_radius_stats_match_scalar(backend):
 
 
 class TestCanonicalFrontierParity:
-    """The canonical KD-tree's level-synchronous frontier sweep must be
-    bit-identical to its pinned sequential per-query loop.  Radius
-    sweeps also charge identical work counters (radius pruning is
-    bound-independent, so the frontier replays the exact schedule);
-    nn/knn frontiers tighten their bounds in level order rather than
-    depth-first order, so only their results — not their node visit
-    counts — are pinned."""
+    """The canonical KD-tree's level-synchronous frontier sweep over a
+    whole batch must be bit-identical to the same queries issued
+    sequentially, one row per batch.  Radius sweeps also charge
+    identical work counters (radius pruning is bound-independent);
+    nn/knn frontiers tighten their bounds in an order that depends on
+    the batch, so only their results — not their node visit counts —
+    are pinned."""
 
     @given(
         seed=st.integers(0, 2**32 - 1),
@@ -231,19 +210,24 @@ class TestCanonicalFrontierParity:
         queries = make_queries(seed, points, 18)
         tree = KDTree(points)
 
+        def one_row_batches(search, stats):
+            return [search(query[None, :], stats) for query in queries]
+
         s_seq, s_fast = SearchStats(), SearchStats()
-        si, sd = tree.nn_batch(queries, s_seq, sequential=True)
+        rows = one_row_batches(tree.nn_batch, s_seq)
         fi, fd = tree.nn_batch(queries, s_fast)
-        assert np.array_equal(si, fi) and np.array_equal(sd, fd)
+        assert np.array_equal(np.concatenate([i for i, _ in rows]), fi)
+        assert np.array_equal(np.concatenate([d for _, d in rows]), fd)
         assert (s_seq.queries, s_seq.results_returned) == (
             s_fast.queries,
             s_fast.results_returned,
         )
 
         s_seq, s_fast = SearchStats(), SearchStats()
-        si, sd = tree.knn_batch(queries, k, s_seq, sequential=True)
+        rows = one_row_batches(lambda q, st_: tree.knn_batch(q, k, st_), s_seq)
         fi, fd = tree.knn_batch(queries, k, s_fast)
-        assert np.array_equal(si, fi) and np.array_equal(sd, fd)
+        assert np.array_equal(np.vstack([i for i, _ in rows]), fi)
+        assert np.array_equal(np.vstack([d for _, d in rows]), fd)
         assert (s_seq.queries, s_seq.results_returned) == (
             s_fast.queries,
             s_fast.results_returned,
@@ -251,10 +235,13 @@ class TestCanonicalFrontierParity:
 
         for sort in (False, True):
             s_seq, s_fast = SearchStats(), SearchStats()
-            si, sd = tree.radius_batch(queries, r, s_seq, sort=sort, sequential=True)
-            fi, fd = tree.radius_batch(queries, r, s_fast, sort=sort)
-            for a, b, c, d in zip(si, fi, sd, fd):
-                assert np.array_equal(a, b) and np.array_equal(c, d)
+            rows = one_row_batches(
+                lambda q, st_: tree.radius_batch_csr(q, r, st_, sort=sort), s_seq
+            )
+            fast = tree.radius_batch_csr(queries, r, s_fast, sort=sort)
+            for row, (a, c) in zip(rows, zip(*fast.to_list_pair())):
+                assert np.array_equal(row.indices, a)
+                assert np.array_equal(row.distances, c)
             assert s_seq == s_fast
 
 

@@ -1,7 +1,7 @@
-"""CSR-native radius path: bit-parity with the legacy list path.
+"""CSR-native radius path: bit-parity with the list delivery.
 
-The PR 8 contract: every backend produces radius results as one flat
-:class:`~repro.core.ragged.RaggedNeighborhoods`, and the legacy
+Every backend produces radius results as one flat
+:class:`~repro.core.ragged.RaggedNeighborhoods`, and the searcher's
 ``radius_batch`` lists are nothing but that CSR result sliced at the
 delivery edge.  These tests pin the bit-identity of the two paths for
 all five backends, the edge cases the flat layout must survive (empty
@@ -19,6 +19,7 @@ from repro.kdtree import SearchStats, bruteforce
 from repro.registration import SearchConfig, build_searcher
 from repro.registration.error_injection import ShellRadiusInjector
 from repro.registration.search import RadiusReuseCache, build_index
+from tests.single_query import radius
 
 BACKENDS = ("canonical", "twostage", "approximate", "bruteforce", "gridhash")
 
@@ -163,17 +164,6 @@ class TestStatsAccounting:
         searcher.radius_batch_csr(rng.normal(size=(9, 3)), 0.5)
         assert stats.csr_results == 9
 
-    def test_list_only_injector_not_counted(self, points, rng):
-        class ListOnlyInjector:
-            def radius_batch(self, index, queries, r, stats, sort=False):
-                return index.radius_batch(queries, r, stats, sort=sort)
-
-        stats = SearchStats()
-        searcher = fresh(points, "twostage", stats=stats, injector=ListOnlyInjector())
-        result = searcher.radius_batch_csr(rng.normal(size=(9, 3)), 0.5)
-        assert isinstance(result, RaggedNeighborhoods)
-        assert stats.csr_results == 0
-
 
 class TestInjectorParity:
     @pytest.mark.parametrize("sort", [False, True])
@@ -186,7 +176,7 @@ class TestInjectorParity:
         ).to_list_pair()
         reference = build_index(points, SearchConfig(backend="bruteforce"))[0]
         for row, query in enumerate(queries):
-            exp_i, exp_d = reference.radius(query, 0.9, sort=sort)
+            exp_i, exp_d = radius(reference, query, 0.9, sort=sort)
             keep = exp_d >= 0.3
             assert np.array_equal(got_idx[row], exp_i[keep])
             assert np.array_equal(got_dist[row], exp_d[keep])
@@ -194,25 +184,16 @@ class TestInjectorParity:
 
 class TestReuseCacheCSR:
     @pytest.mark.parametrize("sort", [False, True])
-    @pytest.mark.parametrize("r", [0.4, 1.0])
-    def test_serve_csr_matches_serve(self, points, rng, sort, r):
-        index, _ = build_index(points, SearchConfig(backend="twostage"))
-        cache = RadiusReuseCache(index, max_radius=1.0)
-        cache.fill(SearchStats())
-        rows = rng.choice(len(points), size=60, replace=False).astype(np.int64)
-        exp_idx, exp_dist = cache.serve(rows, r, sort=sort)
-        csr = cache.serve_csr(rows, r, sort=sort)
-        assert_well_formed(csr)
-        assert_csr_matches_lists(csr, exp_idx, exp_dist)
-
-    @pytest.mark.parametrize("sort", [False, True])
     def test_serve_csr_matches_fresh_search(self, points, rng, sort):
         index, _ = build_index(points, SearchConfig(backend="twostage"))
         cache = RadiusReuseCache(index, max_radius=1.0)
         cache.fill(SearchStats())
         rows = rng.choice(len(points), size=40, replace=False).astype(np.int64)
-        csr = cache.serve_csr(rows, 0.6, sort=sort)
-        direct = index.radius_batch_csr(points[rows], 0.6, sort=sort)
-        assert np.array_equal(csr.indices, direct.indices)
-        assert np.array_equal(csr.offsets, direct.offsets)
-        assert np.array_equal(csr.distances, direct.distances)
+        # Nested radii, including the cached radius itself.
+        for r in (0.4, 0.6, 1.0):
+            csr = cache.serve_csr(rows, r, sort=sort)
+            assert_well_formed(csr)
+            direct = index.radius_batch_csr(points[rows], r, sort=sort)
+            assert np.array_equal(csr.indices, direct.indices)
+            assert np.array_equal(csr.offsets, direct.offsets)
+            assert np.array_equal(csr.distances, direct.distances)
